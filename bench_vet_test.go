@@ -1,84 +1,29 @@
-// Vet facts + fusion benchmarks: the cost of proving fusion legality
-// (vet.ComputeFacts) and the payoff of consuming it — the same
-// chained-elementwise program executed by the VM with the facts-driven
-// fused loop versus with fusion disabled (nil facts, every stage a
-// full kernel pass with a materialized intermediate).
+// Vet facts benchmark: the cost of proving with-loop compilation facts
+// (vet.ComputeFacts) — the pass a driver facts-cache miss pays before
+// bytecode compilation.
 //
-// Run with: go test -bench 'VetFacts|FusedChain' -benchmem
+// Run with: go test -bench VetFacts -benchmem
 // Results are committed in BENCH_vet.json.
 package repro_test
 
 import (
-	"io"
 	"testing"
 
-	"repro/internal/interp"
 	"repro/internal/vet"
-	"repro/internal/vm"
 )
 
-// chainedSrc runs a three-stage elementwise chain over 64k floats
-// repeatedly: the fusable shape the paper's §III-A.4 optimization
-// targets. Unfused, every repetition materializes two full
-// intermediates; fused, intermediates live in block-sized scratch.
-const chainedSrc = `
-int main() {
-	Matrix float <1> a = [0 :: 65535] * 1.0;
-	Matrix float <1> b = [1 :: 65536] * 1.0;
-	float s = 0.0;
-	for (int i = 0; i < 40; i++) {
-		Matrix float <1> r = a .* b + a - b * 0.5;
-		s = s + r[end];
-	}
-	print(s);
-	return 0;
-}
-`
-
-// BenchmarkVetFacts times the fusion-legality proof pass alone, on a
-// program with provable chains — the cost a driver cache miss pays
-// before bytecode compilation.
+// BenchmarkVetFacts times the facts pass alone on withBenchSrc, whose
+// four with-loops (generator, transpose, stencil, fold) are all
+// provable.
 func BenchmarkVetFacts(b *testing.B) {
-	bp := compileBench(b, chainedSrc)
+	bp := compileBench(b, withBenchSrc)
 	b.ReportAllocs()
-	var chains int
+	var withs int
 	for i := 0; i < b.N; i++ {
 		f := vet.ComputeFacts(bp.prog, bp.info)
-		chains = f.ChainCount()
+		withs = f.WithCount()
 	}
-	if chains != 1 {
-		b.Fatalf("ChainCount = %d, want 1", chains)
+	if withs != 4 {
+		b.Fatalf("WithCount = %d, want 4", withs)
 	}
-}
-
-// BenchmarkFusedChain is the ablation pair: identical program and VM,
-// fusion on (facts-driven opFused) vs off (nil facts, per-stage
-// kernels). The contract elsewhere (vmdiff) holds the two observably
-// identical; this measures the time and allocation difference.
-func BenchmarkFusedChain(b *testing.B) {
-	bp := compileBench(b, chainedSrc)
-	if bp.vmp.FusedSites() != 1 {
-		b.Fatalf("FusedSites = %d, want 1", bp.vmp.FusedSites())
-	}
-	unfused, err := vm.CompileWithFacts(bp.prog, bp.info, nil)
-	if err != nil {
-		b.Fatalf("CompileWithFacts(nil): %v", err)
-	}
-	if unfused.FusedSites() != 0 {
-		b.Fatalf("unfused FusedSites = %d, want 0", unfused.FusedSites())
-	}
-	opts := interp.Options{Threads: 1, Stdout: io.Discard}
-	run := func(b *testing.B, p *vm.Program) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			it := interp.New(bp.prog, bp.info, opts)
-			_, err := vm.NewMachine(p, it).Run()
-			it.Close()
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("FusionOn", func(b *testing.B) { run(b, bp.vmp) })
-	b.Run("FusionOff", func(b *testing.B) { run(b, unfused) })
 }

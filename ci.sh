@@ -11,9 +11,10 @@
 # a fuzz smoke over the frontend, the cmvet analyzer, the VM
 # differential fuzzer, the consistent-hash ring and the tenant key
 # file parser, the vet findings manifest,
-# and a one-shot benchmark smoke pass (E1 plus the compile-service
-# cold/warm pair). Run locally before pushing; the GitHub Actions
-# workflow runs this script.
+# and a one-shot benchmark smoke pass (E1, the compile-service
+# cold/warm pair, kernels, the VM engines and the vet facts pass).
+# Run locally before pushing; the GitHub Actions workflow runs this
+# script and nothing else, so every step lives here once.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -84,6 +85,7 @@ echo "== bench smoke =="
 go test -run='^$' -bench='BenchmarkE1_' -benchtime=1x .
 go test -run='^$' -bench='BenchmarkCompileService' -benchtime=1x ./internal/driver
 go test -run='^$' -bench='Kernel' -benchtime=1x .
-go test -run='^$' -bench='VetFacts|FusedChain' -benchtime=1x .
+go test -run='^$' -bench='ScalarLoop|Fib|IndexSum' -benchtime=1x .
+go test -run='^$' -bench='VetFacts' -benchtime=1x .
 
 echo "OK"

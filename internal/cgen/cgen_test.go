@@ -176,8 +176,80 @@ func TestE2SplitProducesFig10(t *testing.T) {
 			t.Errorf("generated C missing %q\n", want)
 		}
 	}
-	if strings.Contains(c, "for (long u_j = ") {
+	// n is a run-time bound, so the last n % 4 iterations run in a
+	// scalar remainder loop; the full-range j loop is gone.
+	if !strings.Contains(c, "for (long u_j = ((") {
+		t.Error("generated C missing the split remainder loop over j")
+	}
+	if strings.Contains(c, "for (long u_j = 0;") {
 		t.Error("original j loop should be replaced by the split pair")
+	}
+}
+
+// splitRemainderSrc splits trip counts that are not multiples of the
+// factor: a constant 7 (vectorized), a run-time n = 7, and a tile
+// whose outer loop has a remainder.
+const splitRemainderSrc = `
+int main() {
+	int n = 7;
+	Matrix float <2> a;
+	a = with ([0, 0] <= [i, j] < [3, 7]) genarray([3, 7], (float)(i * 10 + j) * 0.5)
+		transform split j by 4, jin, jout. vectorize jin;
+	Matrix float <2> b;
+	b = with ([0, 0] <= [i, j] < [3, n]) genarray([3, n], (float)(i + j * 3))
+		transform split j by 4, jin, jout;
+	Matrix float <2> c;
+	c = with ([0, 0] <= [x, y] < [7, 8]) genarray([7, 8], (float)(x * 8 + y))
+		transform tile x by 4, y by 4;
+	float s = with ([0, 0] <= [i, j] < [3, 7]) fold(+, 0.0, a[i, j] + b[i, j]);
+	float sc = with ([0, 0] <= [x, y] < [7, 8]) fold(+, 0.0, c[x, y]);
+	print(s);
+	print(sc);
+	print(a[2, 6]);
+	print(b[2, 6]);
+	print(c[6, 7]);
+	return 0;
+}
+`
+
+// A split whose trip count is not a multiple of the factor must keep
+// every iteration: the compiled C prints what the tree walker prints.
+func TestSplitRemainderCompiledMatchesInterpreter(t *testing.T) {
+	if !haveGCC() {
+		t.Skip("gcc not available")
+	}
+	wantOut := runInterp(t, splitRemainderSrc, map[string]*matrix.Matrix{}, 1)
+	for _, opt := range []Options{
+		{Par: ParNone, Optimize: true},
+		{Par: ParPthread, Optimize: true},
+	} {
+		dir := t.TempDir()
+		bin := compileC(t, gen(t, splitRemainderSrc, opt), dir)
+		cmd := exec.Command(bin)
+		cmd.Dir = dir
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("compiled program failed (%+v): %v\n%s", opt, err, out)
+		}
+		if string(out) != wantOut {
+			t.Fatalf("stdout differs (%+v):\ncompiled: %q\ninterp:   %q", opt, out, wantOut)
+		}
+	}
+}
+
+// A tile whose inner loop has a remainder would reorder an imperfect
+// nest; the translator must refuse it rather than emit wrong C.
+func TestTileInnerRemainderIsCompileError(t *testing.T) {
+	src := strings.Replace(splitRemainderSrc, "[7, 8]) genarray([7, 8]", "[8, 7]) genarray([8, 7]", 1)
+	var d source.Diagnostics
+	prog := parser.ParseFile("t.xc", src, parser.AllExtensions(), &d)
+	info := sem.Check(prog, &d)
+	if d.HasErrors() {
+		t.Fatalf("check failed:\n%s", d.String())
+	}
+	_, err := Generate(prog, info, Options{Par: ParNone, Optimize: true})
+	if err == nil || !strings.Contains(err.Error(), "perfect loop nest") {
+		t.Fatalf("Generate error = %v, want a perfect-nest error", err)
 	}
 }
 

@@ -439,7 +439,7 @@ func (d *Driver) factsFor(fr *frontResult, name, src string, exts parser.Options
 // frontend result, executing the bytecode compiler at most once per
 // content key (singleflight + LRU, like every other driver artifact).
 // The compiler consumes the cached vet.Facts side table as its
-// fusion-legality oracle.
+// with-loop compilation oracle.
 func (d *Driver) vmProgram(fr *frontResult, name, src string, exts parser.Options) (*vm.Program, error) {
 	key := hashKey("vm", name, src, FormatExtensions(exts))
 	c, owner, _ := d.vms.lookup(key)
@@ -453,7 +453,6 @@ func (d *Driver) vmProgram(fr *frontResult, name, src string, exts parser.Option
 	d.metrics.VMCompileTotal.Add(1)
 	p, err := vm.CompileWithFacts(fr.prog, fr.info, d.factsFor(fr, name, src, exts))
 	if err == nil {
-		d.metrics.VMFusedSites.Add(int64(p.FusedSites()))
 		d.metrics.VMWithSites.Add(int64(p.WithCompiled()))
 	}
 	c.res = &vmEntry{p: p, err: err}

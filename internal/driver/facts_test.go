@@ -1,8 +1,8 @@
 // The vet.Facts side table is a driver-cached artifact like any other:
 // content-addressed by (name, source, extension set), computed once,
 // and invalidated by an extension-set change — the same source under a
-// different grammar is a different AST, so fusion facts proven against
-// one must never drive bytecode compiled from the other.
+// different grammar is a different AST, so with-loop plans proven
+// against one must never drive bytecode compiled from the other.
 package driver_test
 
 import (
@@ -13,12 +13,12 @@ import (
 	"repro/internal/driver"
 )
 
-const fusedChainSrc = `
+const withLoopSrc = `
 int main() {
-	Matrix float <1> a = [0 :: 7] * 1.0;
-	Matrix float <1> b = [1 :: 8] * 1.0;
-	Matrix float <1> r = a .* b + a - b;
-	print(r[end]);
+	int n = 8;
+	Matrix float <1> r;
+	r = with ([0] <= [i] < [n]) genarray([n], (float)i * 0.5 + 1.0);
+	print(r[n - 1]);
 	return 0;
 }`
 
@@ -32,7 +32,7 @@ func TestFactsCacheKeysOnExtensionSet(t *testing.T) {
 		}
 		var out bytes.Buffer
 		res, err := d.Run(context.Background(), driver.RunRequest{
-			Name: "chain.xc", Source: fusedChainSrc, Exts: o, Threads: 1, Stdout: &out,
+			Name: "with.xc", Source: withLoopSrc, Exts: o, Threads: 1, Stdout: &out,
 		})
 		if err != nil || !res.OK {
 			t.Fatalf("run(-ext %s): err=%v res=%+v diags=%v", exts, err, res, res.Diagnostics)
@@ -47,8 +47,8 @@ func TestFactsCacheKeysOnExtensionSet(t *testing.T) {
 	if got := m.FactsMisses.Load(); got != 1 {
 		t.Fatalf("after first run: FactsMisses = %d, want 1", got)
 	}
-	if got := m.VMFusedSites.Load(); got != 1 {
-		t.Fatalf("after first run: VMFusedSites = %d, want 1 (chain must be proven and emitted)", got)
+	if got := m.VMWithSites.Load(); got != 1 {
+		t.Fatalf("after first run: VMWithSites = %d, want 1 (with-loop must be proven and emitted)", got)
 	}
 
 	// Identical request: the facts table (and the compiled program that
@@ -64,8 +64,8 @@ func TestFactsCacheKeysOnExtensionSet(t *testing.T) {
 	if got := m.FactsMisses.Load(); got != 2 {
 		t.Fatalf("after -ext change: FactsMisses = %d, want 2 (must not share across ext sets)", got)
 	}
-	if got := m.VMFusedSites.Load(); got != 2 {
-		t.Fatalf("after -ext change: VMFusedSites = %d, want 2 (recompiled with fresh facts)", got)
+	if got := m.VMWithSites.Load(); got != 2 {
+		t.Fatalf("after -ext change: VMWithSites = %d, want 2 (recompiled with fresh facts)", got)
 	}
 
 	// Note FactsHits stays 0 here: an identical rerun is absorbed by the
@@ -74,7 +74,7 @@ func TestFactsCacheKeysOnExtensionSet(t *testing.T) {
 	if s.FactsMisses != 2 {
 		t.Errorf("snapshot facts_cache_misses = %d, want 2", s.FactsMisses)
 	}
-	if s.VMFusedLoops == 0 {
-		t.Errorf("snapshot vm_fused_loops = 0, want > 0 (three fused executions ran)")
+	if s.VMWithFlatRuns == 0 {
+		t.Errorf("snapshot with_loops_flat_runs = 0, want > 0 (three flat executions ran)")
 	}
 }

@@ -136,15 +136,12 @@ type Metrics struct {
 	VMCacheMisses  atomic.Int64
 	VMEvictions    atomic.Int64
 	VMDispatchNS   atomic.Int64
-	// VMFusedSites totals the facts-proven fused chain sites emitted by
-	// actual bytecode compilations (cache hits don't re-count).
-	VMFusedSites atomic.Int64
 	// VMWithSites totals the facts-proven with-loop sites compiled to
 	// the flat engine by actual bytecode compilations.
 	VMWithSites atomic.Int64
 
-	// Facts side-table cache outcomes (the vet.Facts fusion-legality
-	// oracle the bytecode compiler consumes).
+	// Facts side-table cache outcomes (the vet.Facts with-loop plans
+	// the bytecode compiler consumes).
 	FactsHits      atomic.Int64
 	FactsMisses    atomic.Int64
 	FactsEvictions atomic.Int64
@@ -195,10 +192,6 @@ type MetricsSnapshot struct {
 	VMCacheHits    int64 `json:"vm_cache_hits"`
 	VMCacheMisses  int64 `json:"vm_cache_misses"`
 	VMDispatchNS   int64 `json:"vm_dispatch_ns"`
-	// Fusion: chain sites emitted by bytecode compilations, and fused
-	// loops actually executed (process-wide, from vm.FusedLoopsRun).
-	VMFusedSites int64 `json:"vm_fused_sites"`
-	VMFusedLoops int64 `json:"vm_fused_loops"`
 	// With-loop compilation: sites lowered to the flat engine by
 	// bytecode compilations, and with-loops actually executed flat
 	// (process-wide, from vm.WithFlatLoopsRun).
@@ -297,8 +290,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		VMCacheHits:        m.VMCacheHits.Load(),
 		VMCacheMisses:      m.VMCacheMisses.Load(),
 		VMDispatchNS:       m.VMDispatchNS.Load(),
-		VMFusedSites:       m.VMFusedSites.Load(),
-		VMFusedLoops:       vm.FusedLoopsRun(),
 		VMWithSites:        m.VMWithSites.Load(),
 		VMWithFlatRuns:     vm.WithFlatLoopsRun(),
 		VetRuns:            m.VetRuns.Load(),

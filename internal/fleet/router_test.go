@@ -303,6 +303,9 @@ func TestGateHealthzDegraded(t *testing.T) {
 		return nil
 	})
 	rt.Start()
+	// Stop the probe loops before setFault's cleanup clears the hook
+	// they read (cleanups run last-registered first).
+	t.Cleanup(rt.Close)
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
 		req := httptest.NewRequest(http.MethodGet, "/healthz", nil)

@@ -12,14 +12,16 @@ import "fmt"
 // Split replaces the loop indexed by index with an outer loop of
 // name outer and an inner loop of name inner with trip count factor,
 // substituting outer*factor + inner for the original index (Fig 10).
-// As in the paper's example, the trip count is assumed to be a
-// multiple of factor; EmitGuard adds a remainder check when false is
-// not acceptable.
+// When the trip count is not a constant multiple of factor, a scalar
+// remainder loop over [Hi/factor*factor, Hi) follows the outer loop
+// and runs the last Hi % factor iterations with the original index and
+// body. That leaves an imperfect nest, which a later reorder or tile
+// of an enclosing loop rejects rather than mis-compiles.
 func Split(body []Stmt, index string, factor int64, inner, outer string) ([]Stmt, error) {
 	if factor < 1 {
 		return nil, fmt.Errorf("loopir: split factor must be positive, got %d", factor)
 	}
-	container, pos, l := findLoop(body, index)
+	l := FindLoop(body, index)
 	if l == nil {
 		return nil, fmt.Errorf("loopir: split: no loop with index %q", index)
 	}
@@ -31,10 +33,35 @@ func Split(body []Stmt, index string, factor int64, inner, outer string) ([]Stmt
 	newBody := SubstBlock(l.Body, index, repl)
 	innerLoop := &Loop{Index: inner, Lo: IC(0), Hi: IC(factor), Body: newBody,
 		VectorLanes: 0}
-	outerLoop := &Loop{Index: outer, Lo: IC(0), Hi: B("/", l.Hi, IC(factor)),
+	blocks := B("/", l.Hi, IC(factor))
+	outerLoop := &Loop{Index: outer, Lo: IC(0), Hi: blocks,
 		Body: []Stmt{innerLoop}, Parallel: l.Parallel}
-	container[pos] = outerLoop
-	return body, nil
+	split := []Stmt{outerLoop}
+	if hi, ok := l.Hi.(*IntConst); !ok || hi.V%factor != 0 {
+		split = append(split, &Loop{Index: index, Lo: B("*", blocks, IC(factor)), Hi: l.Hi, Body: l.Body})
+	}
+	return replaceLoop(body, l, split), nil
+}
+
+// replaceLoop returns body with loop l replaced by stmts. The list
+// holding l is rebuilt and stored back into its enclosing loop, if
+// any; the result is nil when l is not in body.
+func replaceLoop(body []Stmt, l *Loop, stmts []Stmt) []Stmt {
+	for i, s := range body {
+		if s == Stmt(l) {
+			out := make([]Stmt, 0, len(body)-1+len(stmts))
+			out = append(out, body[:i]...)
+			out = append(out, stmts...)
+			return append(out, body[i+1:]...)
+		}
+		if enc, ok := s.(*Loop); ok {
+			if nb := replaceLoop(enc.Body, l, stmts); nb != nil {
+				enc.Body = nb
+				return body
+			}
+		}
+	}
+	return nil
 }
 
 // Vectorize marks the loop for 4-lane single-precision SSE emission

@@ -323,3 +323,80 @@ func TestExecErrors(t *testing.T) {
 		t.Error("out-of-range store should error")
 	}
 }
+
+// Split of a trip count that is not a multiple of the factor keeps the
+// last Hi % factor iterations in a scalar remainder loop, for constant
+// and run-time bounds alike.
+func TestSplitRemainder(t *testing.T) {
+	const m, n, p = 3, 7, 5
+	ref := runNest(t, meanNest(m, n, p), meanEnv(m, n, p, 4))
+
+	nest, err := Split(meanNest(m, n, p), "j", 4, "jin", "jout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := Print(nest)
+	for _, want := range []string{
+		"for (int jout = 0; jout < (7 / 4); jout++)",
+		"for (int jin = 0; jin < 4; jin++)",
+		"for (int j = ((7 / 4) * 4); j < 7; j++)",
+	} {
+		if !strings.Contains(src, want) {
+			t.Errorf("split output missing %q:\n%s", want, src)
+		}
+	}
+	if got := runNest(t, nest, meanEnv(m, n, p, 4)); !almostSame(ref, got) {
+		t.Fatalf("split at trip count 7, factor 4 changed results:\n%s", src)
+	}
+
+	// A run-time bound cannot be proven a multiple, so it always gets
+	// the remainder loop.
+	dyn := meanNest(m, n, p)
+	dyn[0].(*Loop).Body[0].(*Loop).Hi = V("n")
+	dyn, err = Split(dyn, "j", 4, "jin", "jout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := meanEnv(m, n, p, 4)
+	env.Vars["n"] = IV(n)
+	if got := runNest(t, dyn, env); !almostSame(ref, got) {
+		t.Fatalf("split of a run-time bound changed results:\n%s", Print(dyn))
+	}
+}
+
+// A remainder loop leaves an imperfect nest. Tiling keeps working when
+// only the outer loop has a remainder (the remainder runs the original
+// inner loop), and is rejected — never mis-compiled — when the inner
+// loop's remainder would sit inside the nest being reordered.
+func TestTileWithRemainder(t *testing.T) {
+	build := func(m, n int64) []Stmt {
+		j := &Loop{Index: "j", Lo: IC(0), Hi: IC(n), Body: []Stmt{
+			&AssignStmt{Ld("out", B("+", B("*", V("i"), IC(n)), V("j"))),
+				B("*", B("+", V("i"), IC(1)), B("+", V("j"), IC(2)))},
+		}}
+		return []Stmt{&Loop{Index: "i", Lo: IC(0), Hi: IC(m), Body: []Stmt{j}}}
+	}
+	const m, n = 7, 8
+	ref := NewEnv()
+	ref.Arrays["out"] = make([]float64, m*n)
+	if err := ref.Exec(build(m, n)); err != nil {
+		t.Fatal(err)
+	}
+	nest, err := Tile(build(m, n), "i", 4, "j", 4)
+	if err != nil {
+		t.Fatalf("tile with an outer remainder: %v", err)
+	}
+	env := NewEnv()
+	env.Arrays["out"] = make([]float64, m*n)
+	if err := env.Exec(nest); err != nil {
+		t.Fatal(err)
+	}
+	if !almostSame(ref.Arrays["out"], env.Arrays["out"]) {
+		t.Fatalf("tile with an outer remainder changed results:\n%s", Print(nest))
+	}
+
+	if _, err := Tile(build(8, 7), "i", 4, "j", 4); err == nil ||
+		!strings.Contains(err.Error(), "perfect loop nest") {
+		t.Errorf("tile with an inner remainder: err = %v, want a perfect-nest error", err)
+	}
+}

@@ -96,6 +96,20 @@ func (p *bufFreeList[T]) get(n int) ([]T, bool) {
 	return nil, false
 }
 
+// take returns n cells from the list when a retained slice fits, or a
+// fresh zeroed slice. zero clears a reused slice; callers that
+// overwrite every cell skip it.
+func (p *bufFreeList[T]) take(n int, zero bool) []T {
+	s, ok := p.get(n)
+	if !ok {
+		return make([]T, n)
+	}
+	if zero {
+		clear(s)
+	}
+	return s
+}
+
 // put retains s for reuse, dropping it when it is too small, its class
 // is full, or the global byte cap is reached.
 func (p *bufFreeList[T]) put(s []T) {

@@ -15,6 +15,7 @@ package matrix
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/par"
@@ -63,25 +64,15 @@ func GenArray(elem Elem, lower, upper, shape []int, body BodyFunc, pool *par.Poo
 // box — a runtime check. The output allocation is charged against
 // x.Budget before any storage is made.
 func GenArrayExec(elem Elem, lower, upper, shape []int, body BodyFunc, x Exec) (*Matrix, error) {
-	if len(lower) != len(shape) || len(upper) != len(shape) {
-		return nil, fmt.Errorf("matrix: genarray shape rank %d does not match generator rank %d",
-			len(shape), len(lower))
-	}
-	if _, err := checkedSize(shape); err != nil {
-		return nil, err
-	}
-	for d := range shape {
-		if lower[d] < 0 || upper[d] > shape[d] {
-			return nil, fmt.Errorf(
-				"matrix: genarray shape %v is not a superset of the generator box [%v, %v) in dimension %d",
-				shape, lower, upper, d)
-		}
-	}
-	out, err := NewBudgeted(x.Budget, elem, shape...)
+	n, err := genArrayAdmit(lower, upper, shape)
 	if err != nil {
 		return nil, err
 	}
-	if out.Size() == 0 {
+	out, err := allocCharged(x.Budget, elem, shape, n, true)
+	if err != nil {
+		return nil, err
+	}
+	if n == 0 {
 		return out, nil
 	}
 	n0 := upper[0] - lower[0]
@@ -126,6 +117,29 @@ func GenArrayExec(elem Elem, lower, upper, shape []int, body BodyFunc, x Exec) (
 	return out, nil
 }
 
+// genArrayAdmit validates a genarray's shape against its generator
+// box — rank, then size, then the §III-A.4 superset rule — and returns
+// the output's cell count. GenArrayExec and GenArrayFlat both admit
+// through it, so their errors are one text by construction.
+func genArrayAdmit(lower, upper, shape []int) (int, error) {
+	if len(lower) != len(shape) || len(upper) != len(shape) {
+		return 0, fmt.Errorf("matrix: genarray shape rank %d does not match generator rank %d",
+			len(shape), len(lower))
+	}
+	n, err := checkedSize(shape)
+	if err != nil {
+		return 0, err
+	}
+	for d := range shape {
+		if lower[d] < 0 || upper[d] > shape[d] {
+			return 0, fmt.Errorf(
+				"matrix: genarray shape %v is not a superset of the generator box [%v, %v) in dimension %d",
+				shape, lower, upper, d)
+		}
+	}
+	return n, nil
+}
+
 // FoldKind is the fold operator of §III-A.4.
 type FoldKind int
 
@@ -151,31 +165,12 @@ func (k FoldKind) String() string {
 	return "?"
 }
 
-// combineInt and combineFloat are the typed fold steps; their min/max
-// forms reproduce foldCombine's OpLt tie-breaking exactly (min of
-// equal values keeps the right operand, max keeps the left; a NaN
-// comparison is false, so min picks the right operand and max the
-// left — identical to the boxed path).
-func combineInt(kind FoldKind, a, b int64) int64 {
-	switch kind {
-	case FoldAdd:
-		return a + b
-	case FoldMul:
-		return a * b
-	case FoldMin:
-		if a < b {
-			return a
-		}
-		return b
-	default:
-		if a < b {
-			return b
-		}
-		return a
-	}
-}
-
-func combineFloat(kind FoldKind, a, b float64) float64 {
+// combine is the typed fold step; its min/max forms reproduce
+// foldCombine's OpLt tie-breaking exactly (min of equal values keeps
+// the right operand, max keeps the left; a NaN comparison is false, so
+// min picks the right operand and max the left — identical to the
+// boxed path).
+func combine[T int64 | float64](kind FoldKind, a, b T) T {
 	switch kind {
 	case FoldAdd:
 		return a + b
@@ -240,7 +235,7 @@ func (a *foldAcc) combine(v any) error {
 	case faInt:
 		switch x := v.(type) {
 		case int64:
-			a.i = combineInt(a.kind, a.i, x)
+			a.i = combine(a.kind, a.i, x)
 			return nil
 		case float64:
 			if a.kind == FoldMin || a.kind == FoldMax {
@@ -251,13 +246,13 @@ func (a *foldAcc) combine(v any) error {
 				}
 				return nil
 			}
-			a.mode, a.f = faFloat, combineFloat(a.kind, float64(a.i), x)
+			a.mode, a.f = faFloat, combine(a.kind, float64(a.i), x)
 			return nil
 		}
 	case faFloat:
 		switch x := v.(type) {
 		case float64:
-			a.f = combineFloat(a.kind, a.f, x)
+			a.f = combine(a.kind, a.f, x)
 			return nil
 		case int64:
 			if a.kind == FoldMin || a.kind == FoldMax {
@@ -266,7 +261,7 @@ func (a *foldAcc) combine(v any) error {
 				}
 				return nil
 			}
-			a.f = combineFloat(a.kind, a.f, float64(x))
+			a.f = combine(a.kind, a.f, float64(x))
 			return nil
 		}
 	}
@@ -315,7 +310,7 @@ func Fold(kind FoldKind, base any, lower, upper []int, body BodyFunc, pool *par.
 // rows through the pool's abort flag.
 func FoldExec(kind FoldKind, base any, lower, upper []int, body BodyFunc, x Exec) (any, error) {
 	if len(lower) != len(upper) {
-		return nil, fmt.Errorf("matrix: fold generator rank mismatch")
+		return nil, errFoldRank
 	}
 	if len(lower) == 0 {
 		return base, nil
@@ -356,37 +351,61 @@ func FoldExec(kind FoldKind, base any, lower, upper []int, body BodyFunc, x Exec
 			}
 		}
 	}
-	n0 := upper[0] - lower[0]
-	if x.Pool == nil || n0 < 2 {
-		acc := newFoldAcc(kind, base)
-		foldRow := newRowFolder()
-		for i0 := lower[0]; i0 < upper[0]; i0++ {
-			if err := x.cancelled(); err != nil {
-				return nil, err
-			}
-			if err := foldRow(i0, &acc); err != nil {
-				return nil, err
-			}
-		}
-		return acc.value(), nil
+	ident := func() (foldAcc, error) {
+		v, err := foldIdentity(kind, base)
+		return newFoldAcc(kind, v), err
 	}
-	// Parallel: per-worker partials seeded with the identity; base is
-	// combined exactly once at the end.
-	ident, err := foldIdentity(kind, base)
+	merge := func(acc *foldAcc, part foldAcc) error { return acc.combine(part.value()) }
+	acc, err := foldRows(x, lower[0], upper[0], newFoldAcc(kind, base), ident, newRowFolder, merge)
 	if err != nil {
 		return nil, err
 	}
-	pool := x.Pool
-	partials := make([]any, pool.Workers())
-	err = pool.RunErr(func(worker, workers int) error {
-		chunk := (n0 + workers - 1) / workers
-		start := lower[0] + worker*chunk
-		end := start + chunk
-		if end > upper[0] {
-			end = upper[0]
+	return acc.value(), nil
+}
+
+// errFoldRank is the fold admission error for a generator whose lower
+// and upper bounds differ in rank.
+var errFoldRank = errors.New("matrix: fold generator rank mismatch")
+
+// foldRows is the row driver FoldExec and FoldFlat share, over the
+// outermost generator dimension [lo, hi) with accumulator type A.
+// newRow returns a row folder with its own scratch, one per goroutine.
+// Without a pool (or with fewer than two rows) one accumulator seeded
+// with base folds every row, with a context poll before each.
+// Otherwise each worker folds a ceil-sized chunk of rows into a
+// partial seeded with ident(), polling the pool's abort flag and the
+// context per row; base then merges the completed partials in worker
+// order — valid because the fold operators are associative and
+// commutative, and the same order on both engines, so float results
+// agree bit for bit. The first row error aborts the other workers.
+func foldRows[A any](x Exec, lo, hi int, base A, ident func() (A, error),
+	newRow func() func(i0 int, acc *A) error, merge func(acc *A, part A) error) (A, error) {
+	if x.Pool == nil || hi-lo < 2 {
+		acc := base
+		row := newRow()
+		for i0 := lo; i0 < hi; i0++ {
+			if err := x.cancelled(); err != nil {
+				return acc, err
+			}
+			if err := row(i0, &acc); err != nil {
+				return acc, err
+			}
 		}
-		acc := newFoldAcc(kind, ident)
-		foldRow := newRowFolder()
+		return acc, nil
+	}
+	seed, err := ident()
+	if err != nil {
+		return base, err
+	}
+	pool := x.Pool
+	partials := make([]A, pool.Workers())
+	done := make([]bool, len(partials))
+	err = pool.RunErr(func(worker, workers int) error {
+		chunk := (hi - lo + workers - 1) / workers
+		start := lo + worker*chunk
+		end := min(start+chunk, hi)
+		acc := seed
+		row := newRow()
 		for i0 := start; i0 < end; i0++ {
 			if pool.Aborted() {
 				return nil
@@ -394,26 +413,25 @@ func FoldExec(kind FoldKind, base any, lower, upper []int, body BodyFunc, x Exec
 			if err := x.cancelled(); err != nil {
 				return err
 			}
-			if err := foldRow(i0, &acc); err != nil {
+			if err := row(i0, &acc); err != nil {
 				return err
 			}
 		}
-		partials[worker] = acc.value()
+		partials[worker], done[worker] = acc, true
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return base, err
 	}
-	acc := newFoldAcc(kind, base)
-	for _, pv := range partials {
-		if pv == nil {
-			continue
-		}
-		if err := acc.combine(pv); err != nil {
-			return nil, err
+	acc := base
+	for w, part := range partials {
+		if done[w] {
+			if err := merge(&acc, part); err != nil {
+				return acc, err
+			}
 		}
 	}
-	return acc.value(), nil
+	return acc, nil
 }
 
 // foldIdentity returns the identity element of kind in the numeric

@@ -104,6 +104,16 @@ func NewBudgeted(b *Budget, elem Elem, shape ...int) (*Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
+	return allocCharged(b, elem, shape, n, true)
+}
+
+// allocCharged is the allocation admission every budgeted constructor
+// shares, for a shape already validated to n cells: the allocation
+// hook fires, n is charged against b, and only then is storage made.
+// The backing slice comes from the kernel free list when a released
+// buffer fits; zero clears it, and callers that write every cell pass
+// false.
+func allocCharged(b *Budget, elem Elem, shape []int, n int, zero bool) (*Matrix, error) {
 	if hook := TestHookAllocFail; hook != nil {
 		if err := hook(n); err != nil {
 			return nil, err
@@ -114,30 +124,13 @@ func NewBudgeted(b *Budget, elem Elem, shape ...int) (*Matrix, error) {
 	}
 	m := &Matrix{elem: elem, shape: append([]int(nil), shape...)}
 	m.strides = stridesFor(m.shape)
-	// Serve the backing slice from the kernel free list when a released
-	// buffer fits; NewBudgeted promises zeroed storage, so clear it.
 	switch elem {
 	case Float:
-		if s, ok := floatFree.get(n); ok {
-			clear(s)
-			m.f = s
-			return m, nil
-		}
-		m.f = make([]float64, n)
+		m.f = floatFree.take(n, zero)
 	case Int:
-		if s, ok := intFree.get(n); ok {
-			clear(s)
-			m.i = s
-			return m, nil
-		}
-		m.i = make([]int64, n)
+		m.i = intFree.take(n, zero)
 	case Bool:
-		if s, ok := boolFree.get(n); ok {
-			clear(s)
-			m.b = s
-			return m, nil
-		}
-		m.b = make([]bool, n)
+		m.b = boolFree.take(n, zero)
 	}
 	return m, nil
 }

@@ -5,15 +5,17 @@
 // evaluate the body directly over the backing slices instead of
 // calling back into tree evaluation per element.
 //
-// The contract with the closure path is byte-exactness: both flat
-// entry points replay GenArrayExec/FoldExec's admission sequence
-// (validation before the allocation hook and budget charge, identical
-// free-list behavior, identical combine order for float folds) and
-// refuse — returning handled=false, never an error of their own — any
-// case where the closure path would produce an observable the flat
-// path cannot reproduce. An up-front interval analysis over the
-// generator box proves every matrix load in bounds before the first
-// element is touched; anything it cannot bound falls back.
+// The contract with the closure path is byte-exactness, held by shared
+// code: GenArrayFlat admits through GenArrayExec's validation and
+// allocation helpers (genArrayAdmit, allocCharged) and FoldFlat
+// through FoldExec's row driver (foldRows) and identity table, so
+// error texts, budget charges, hook firings and float combine order
+// are the same by construction. Admission errors are returned with
+// handled=true. The flat engine declines — handled=false, nothing
+// allocated or charged — only for reasons of its own: leaves that fail
+// verification, element types it does not store, and loads the
+// up-front interval analysis over the generator box cannot prove in
+// bounds.
 package matrix
 
 // WithOp is one opcode of the flat with-loop body language: a postfix
@@ -442,26 +444,17 @@ func matchSingleLoad(code []WithInstr) *withLoadPlan {
 }
 
 // GenArrayFlat is the flat engine for a proven genarray body. It
-// returns handled=false — having allocated nothing and fired no hooks
-// — whenever the closure path must run instead, either to reproduce an
-// admission error exactly or because the body/leaves fall outside what
-// the flat engine handles. When handled, the result (matrix, budget
+// admits exactly like GenArrayExec and returns its admission and
+// allocation errors with handled=true. It returns handled=false —
+// having allocated nothing and fired no hooks — when the body or
+// leaves fall outside what the flat engine handles, and the closure
+// path must run instead. When handled, the result (matrix, budget
 // charges, alloc-hook firings, error) is observably identical to
 // GenArrayExec with a closure of the same body.
 func GenArrayFlat(elem Elem, lower, upper, shape []int, env *WithEnv, x Exec) (*Matrix, bool, error) {
-	// Replay the admission checks; a failure falls back so the closure
-	// path raises the exact error text.
-	if len(lower) != len(shape) || len(upper) != len(shape) {
-		return nil, false, nil
-	}
-	n, err := checkedSize(shape)
+	n, err := genArrayAdmit(lower, upper, shape)
 	if err != nil {
-		return nil, false, nil
-	}
-	for d := range shape {
-		if lower[d] < 0 || upper[d] > shape[d] {
-			return nil, false, nil
-		}
+		return nil, true, err
 	}
 	rank := len(shape)
 	if rank == 0 || !env.verify(rank) {
@@ -486,16 +479,9 @@ func GenArrayFlat(elem Elem, lower, upper, shape []int, env *WithEnv, x Exec) (*
 	if !empty && !env.feasible(lower, upper) {
 		return nil, false, nil
 	}
-	// Allocation: same hook/charge sequence as the closure path's
-	// NewBudgeted. Cells outside the generator box must read zero, so
-	// only a box covering the whole shape may take the non-zeroing
-	// free-list allocator.
-	var out *Matrix
-	if full && !empty {
-		out, err = newKernelOut(x.Budget, elem, shape)
-	} else {
-		out, err = NewBudgeted(x.Budget, elem, shape...)
-	}
+	// Cells outside the generator box must read zero, so only a box
+	// covering the whole shape may skip zeroing a reused buffer.
+	out, err := allocCharged(x.Budget, elem, shape, n, !full || empty)
 	if err != nil {
 		return nil, true, err
 	}
@@ -615,62 +601,60 @@ func genFillRows(out *Matrix, env *WithEnv, elem Elem, lower, upper []int, r0, r
 	}
 }
 
-// FoldFlat is the flat engine for a proven fold body. The parallel
-// split mirrors FoldExec exactly — same per-worker row chunks, same
-// identity seeds, same base-first combine order — so float results are
-// bit-identical to the closure path. handled=false defers to the
-// closure path (mixed int/float min-max folds, unverifiable leaves).
+// FoldFlat is the flat engine for a proven fold body. It runs on
+// FoldExec's row driver with FoldExec's identity seeds, so the worker
+// split and base-first combine order — and with them float results —
+// are the closure path's bit for bit. A rank mismatch is returned
+// with handled=true. handled=false defers to the closure path for
+// leaves that fail verification, accumulators the typed lanes cannot
+// hold (mixed int/float min-max folds, an int base with a float body)
+// and infeasible loads.
 func FoldFlat(kind FoldKind, base any, lower, upper []int, env *WithEnv, x Exec) (any, bool, error) {
 	if len(lower) != len(upper) {
-		return nil, false, nil
+		return nil, true, errFoldRank
 	}
 	if len(lower) == 0 {
 		return base, true, nil
 	}
-	rank := len(lower)
-	if !env.verify(rank) {
+	if !env.verify(len(lower)) {
 		return nil, false, nil
 	}
-	floatAcc := false
-	switch base.(type) {
+	ident, err := foldIdentity(kind, base)
+	if err != nil {
+		return nil, false, nil
+	}
+	switch b := base.(type) {
 	case int64:
-		if env.Float {
-			// int base with a float body would promote mid-fold; the VM
-			// pre-promotes the base when the static type is float, so
-			// this only happens in corners the closure path owns.
-			return nil, false, nil
+		// An int base with a float body would promote mid-fold; the VM
+		// pre-promotes the base when the static type is float, so this
+		// only happens in corners the closure path owns.
+		if !env.Float {
+			return flatFold(kind, b, ident.(int64), lower, upper, env, x)
 		}
 	case float64:
-		floatAcc = true
-		if !env.Float && (kind == FoldMin || kind == FoldMax) {
-			// Boxed min/max keep the winning operand's dynamic type; a
-			// typed float accumulator cannot.
-			return nil, false, nil
+		// Boxed min/max keep the winning operand's dynamic type; a
+		// typed float accumulator cannot.
+		if env.Float || (kind != FoldMin && kind != FoldMax) {
+			return flatFold(kind, b, ident.(float64), lower, upper, env, x)
 		}
-	default:
-		return nil, false, nil
 	}
-	empty := false
+	return nil, false, nil
+}
+
+// flatFold folds a verified body into a typed accumulator through
+// foldRows. A whole-matrix single-load body reduces contiguous row
+// slices; any other body is evaluated per cell along the box odometer.
+// Both combine in ascending element order within a row.
+func flatFold[T int64 | float64](kind FoldKind, base, ident T, lower, upper []int, env *WithEnv, x Exec) (any, bool, error) {
 	for d := range lower {
 		if upper[d] <= lower[d] {
-			empty = true
+			return base, true, nil
 		}
 	}
-	if !empty && !env.feasible(lower, upper) {
+	if !env.feasible(lower, upper) {
 		return nil, false, nil
 	}
-	if empty {
-		return base, true, nil
-	}
-	switch kind {
-	case FoldAdd, FoldMul, FoldMin, FoldMax:
-	default:
-		return nil, false, nil
-	}
-
-	// Whole-matrix single-load folds reduce contiguous row slices; any
-	// other body evaluates per cell through the box odometer. Both
-	// combine in ascending element order within a row chunk.
+	rank := len(lower)
 	var whole *Matrix
 	if lp := matchSingleLoad(env.Code); lp != nil && !lp.i2f {
 		m := env.Mats[lp.mat]
@@ -688,181 +672,51 @@ func FoldFlat(kind FoldKind, base any, lower, upper []int, env *WithEnv, x Exec)
 	for d := 1; d < rank; d++ {
 		rowLen *= upper[d] - lower[d]
 	}
-
-	foldRowsF := func(e *withEval, r0, r1 int, acc float64) float64 {
-		if whole != nil {
-			if whole.elem == Int {
-				for _, v := range whole.i[r0*rowLen : r1*rowLen] {
-					acc = combineFloat(kind, acc, float64(v))
-				}
-				return acc
-			}
-			for _, v := range whole.f[r0*rowLen : r1*rowLen] {
-				acc = combineFloat(kind, acc, v)
-			}
-			return acc
-		}
+	newRow := func() func(i0 int, acc *T) error {
+		e := newWithEval(env)
 		idx := make([]int, rank)
-		intBody := !env.Float
-		for i0 := r0; i0 < r1; i0++ {
-			idx[0] = i0
-			for d := 1; d < rank; d++ {
-				idx[d] = lower[d]
-			}
-			for {
-				if intBody {
-					acc = combineFloat(kind, acc, float64(e.evalI(idx)))
-				} else {
-					acc = combineFloat(kind, acc, e.evalF(idx))
+		return func(i0 int, acc *T) error {
+			a := *acc
+			switch {
+			case whole != nil && whole.elem == Int:
+				for _, v := range whole.i[i0*rowLen : (i0+1)*rowLen] {
+					a = combine(kind, a, T(v))
 				}
-				d := rank - 1
-				for ; d >= 1; d-- {
-					idx[d]++
-					if idx[d] < upper[d] {
+			case whole != nil:
+				for _, v := range whole.f[i0*rowLen : (i0+1)*rowLen] {
+					a = combine(kind, a, T(v))
+				}
+			default:
+				idx[0] = i0
+				copy(idx[1:], lower[1:])
+				for {
+					if env.Float {
+						a = combine(kind, a, T(e.evalF(idx)))
+					} else {
+						a = combine(kind, a, T(e.evalI(idx)))
+					}
+					d := rank - 1
+					for ; d >= 1; d-- {
+						idx[d]++
+						if idx[d] < upper[d] {
+							break
+						}
+						idx[d] = lower[d]
+					}
+					if d < 1 {
 						break
 					}
-					idx[d] = lower[d]
-				}
-				if d < 1 {
-					break
 				}
 			}
+			*acc = a
+			return nil
 		}
-		return acc
 	}
-	foldRowsI := func(e *withEval, r0, r1 int, acc int64) int64 {
-		if whole != nil {
-			for _, v := range whole.i[r0*rowLen : r1*rowLen] {
-				acc = combineInt(kind, acc, v)
-			}
-			return acc
-		}
-		idx := make([]int, rank)
-		for i0 := r0; i0 < r1; i0++ {
-			idx[0] = i0
-			for d := 1; d < rank; d++ {
-				idx[d] = lower[d]
-			}
-			for {
-				acc = combineInt(kind, acc, e.evalI(idx))
-				d := rank - 1
-				for ; d >= 1; d-- {
-					idx[d]++
-					if idx[d] < upper[d] {
-						break
-					}
-					idx[d] = lower[d]
-				}
-				if d < 1 {
-					break
-				}
-			}
-		}
-		return acc
-	}
-	n0 := upper[0] - lower[0]
-	if x.Pool == nil || n0 < 2 {
-		// Serial: same per-row cancellation polls as FoldExec.
-		e := newWithEval(env)
-		accI, accF := int64(0), float64(0)
-		if floatAcc {
-			accF = base.(float64)
-		} else {
-			accI = base.(int64)
-		}
-		for i0 := lower[0]; i0 < upper[0]; i0++ {
-			if err := x.cancelled(); err != nil {
-				return nil, true, err
-			}
-			if floatAcc {
-				accF = foldRowsF(e, i0, i0+1, accF)
-			} else {
-				accI = foldRowsI(e, i0, i0+1, accI)
-			}
-		}
-		if floatAcc {
-			return accF, true, nil
-		}
-		return accI, true, nil
-	}
-	// Parallel: FoldExec's exact worker split — ceil chunks over the
-	// outermost dimension, identity-seeded partials, per-row abort and
-	// ctx polls, base-first combine in worker order.
-	identF, identI := foldIdentFloat(kind), foldIdentInt(kind)
-	pool := x.Pool
-	type partial struct {
-		f   float64
-		i   int64
-		set bool
-	}
-	partials := make([]partial, pool.Workers())
-	err := pool.RunErr(func(worker, workers int) error {
-		chunk := (n0 + workers - 1) / workers
-		start := lower[0] + worker*chunk
-		end := start + chunk
-		if end > upper[0] {
-			end = upper[0]
-		}
-		e := newWithEval(env)
-		accF, accI := identF, identI
-		for i0 := start; i0 < end; i0++ {
-			if pool.Aborted() {
-				return nil
-			}
-			if err := x.cancelled(); err != nil {
-				return err
-			}
-			if floatAcc {
-				accF = foldRowsF(e, i0, i0+1, accF)
-			} else {
-				accI = foldRowsI(e, i0, i0+1, accI)
-			}
-		}
-		partials[worker] = partial{f: accF, i: accI, set: true}
-		return nil
-	})
+	seed := func() (T, error) { return ident, nil }
+	merge := func(acc *T, part T) error { *acc = combine(kind, *acc, part); return nil }
+	acc, err := foldRows(x, lower[0], upper[0], base, seed, newRow, merge)
 	if err != nil {
 		return nil, true, err
 	}
-	if floatAcc {
-		acc := base.(float64)
-		for _, p := range partials {
-			if p.set {
-				acc = combineFloat(kind, acc, p.f)
-			}
-		}
-		return acc, true, nil
-	}
-	acc := base.(int64)
-	for _, p := range partials {
-		if p.set {
-			acc = combineInt(kind, acc, p.i)
-		}
-	}
 	return acc, true, nil
-}
-
-// foldIdentInt / foldIdentFloat are foldIdentity's typed values.
-func foldIdentInt(kind FoldKind) int64 {
-	switch kind {
-	case FoldMul:
-		return 1
-	case FoldMin:
-		return int64(1) << 62
-	case FoldMax:
-		return int64(-1) << 62
-	}
-	return 0
-}
-
-func foldIdentFloat(kind FoldKind) float64 {
-	switch kind {
-	case FoldMul:
-		return 1
-	case FoldMin:
-		return 1e308
-	case FoldMax:
-		return -1e308
-	}
-	return 0
 }

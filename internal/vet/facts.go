@@ -1,106 +1,26 @@
 // vet.Facts — proven program facts exported for consumers outside the
-// diagnostics pipeline. The first (and so far only) fact family is
-// fusion legality: chained elementwise matrix expressions whose every
-// stage is effect-free, whose intermediates are provably unaliased
-// (kernel results are fresh allocations and never observable), and
-// whose per-stage semantics are total after admission, so the VM may
-// execute the whole chain as one loop with block-local temporaries
-// instead of materializing a full matrix per stage (the paper's
-// §III-A.4 "no extraneous copy" fusion).
-//
-// Legality is deliberately strict so the fused loop can replay the
-// unfused engine's observable behavior exactly — same error, same
-// error site, same allocation-budget consumption:
-//
-//   - stage ops: .+ .- .* always; * only with a scalar operand
-//     (matrix*matrix is matmul); / only on float chains (int division
-//     can trap per element mid-loop); never %, comparisons or logical
-//     ops (comparisons change the element type, % traps);
-//   - every interior stage and matrix leaf has the chain's element
-//     type exactly — no int→float promotion inside the chain, because
-//     promotion allocates conversion scratch the unfused engine
-//     charges for;
-//   - matrix leaves are plain identifiers of concrete matrix type
-//     (binding-time coercion pins the runtime element type; AnyMatrix
-//     readMatrix results are excluded), scalar leaves are literals or
-//     scalar identifiers — no calls, no indexing, nothing that could
-//     observe or modify state mid-expression;
-//   - float scalar leaves only on float chains (an int chain with a
-//     float scalar promotes).
-//
-// A chain needs at least two stages to be worth fusing; nested stages
-// of a recorded chain are consumed by it and not re-recorded.
+// diagnostics pipeline. The fact family is with-loop compilation
+// (withplan.go): a genarray/fold body proven to be an effect-free
+// index expression, which the VM runs on the flat with-loop engine
+// instead of a per-element closure.
 package vet
 
 import (
 	"repro/internal/ast"
 	"repro/internal/sem"
-	"repro/internal/types"
 )
-
-// ChainArgKind classifies one operand of a fused stage.
-type ChainArgKind int
-
-const (
-	// ArgStage: the operand is the result of an earlier stage in the
-	// same chain (an intermediate that will never be materialized).
-	ArgStage ChainArgKind = iota
-	// ArgMatrix: a matrix-typed identifier leaf.
-	ArgMatrix
-	// ArgScalar: a scalar literal or scalar identifier leaf.
-	ArgScalar
-)
-
-// ChainArg is one operand of a fused stage.
-type ChainArg struct {
-	Kind  ChainArgKind
-	Stage int      // ArgStage: index of the producing stage
-	X     ast.Expr // ArgMatrix / ArgScalar: the leaf expression
-}
-
-// ChainStage is one elementwise operation of a fused chain.
-type ChainStage struct {
-	Node ast.Node // the BinaryExpr — error spans anchor here
-	Op   ast.BinOp
-	L, R ChainArg
-}
-
-// Chain is a maximal fusable elementwise expression tree, stages in
-// post-order (operands of stage i always have index < i; the last
-// stage is the root).
-type Chain struct {
-	Elem   types.Kind // element type of every stage: Float or Int
-	Stages []ChainStage
-}
 
 // Facts is the proven-facts side table computed once per checked
 // program and cached content-addressed by the driver.
 type Facts struct {
-	chains map[ast.Expr]*Chain
-	withs  map[*ast.WithLoop]*WithPlan
+	withs map[*ast.WithLoop]*WithPlan
 }
 
-// ChainAt returns the fusable chain rooted at e, or nil.
-func (f *Facts) ChainAt(e ast.Expr) *Chain {
-	if f == nil {
-		return nil
-	}
-	return f.chains[e]
-}
-
-// ChainCount reports how many fusable chains were proven.
-func (f *Facts) ChainCount() int {
-	if f == nil {
-		return 0
-	}
-	return len(f.chains)
-}
-
-// ComputeFacts proves fusion-legality facts over a checked program.
-// Safe on partially-checked programs (missing type info simply proves
-// nothing).
+// ComputeFacts proves with-loop compilation facts over a checked
+// program. Safe on partially-checked programs (missing type info
+// simply proves nothing).
 func ComputeFacts(prog *ast.Program, info *sem.Info) *Facts {
-	f := &Facts{chains: map[ast.Expr]*Chain{}, withs: map[*ast.WithLoop]*WithPlan{}}
+	f := &Facts{withs: map[*ast.WithLoop]*WithPlan{}}
 	if prog == nil || info == nil {
 		return f
 	}
@@ -156,20 +76,8 @@ func (ff *factFinder) stmt(s ast.Stmt) {
 	}
 }
 
-// expr records the maximal fusable chain rooted at x, or recurses into
-// subexpressions looking for nested roots.
+// expr walks x looking for with-loops to prove.
 func (ff *factFinder) expr(x ast.Expr) {
-	if x == nil {
-		return
-	}
-	if b, ok := x.(*ast.BinaryExpr); ok {
-		if c := ff.buildChain(b); c != nil {
-			ff.facts.chains[x] = c
-			// Leaves of a recorded chain hold no further chains:
-			// they are identifiers and literals by construction.
-			return
-		}
-	}
 	switch x := x.(type) {
 	case *ast.UnaryExpr:
 		ff.expr(x.X)
@@ -232,87 +140,4 @@ func (ff *factFinder) expr(x ast.Expr) {
 			ff.expr(d)
 		}
 	}
-}
-
-// buildChain proves the expression tree rooted at root fusable and
-// linearizes it, or returns nil.
-func (ff *factFinder) buildChain(root *ast.BinaryExpr) *Chain {
-	t := ff.info.TypeOf(root)
-	if t == nil || t.Kind != types.Matrix || t.Elem == nil {
-		return nil
-	}
-	elem := t.Elem.Kind
-	if elem != types.Float && elem != types.Int {
-		return nil
-	}
-	c := &Chain{Elem: elem}
-	if _, ok := ff.stage(c, root); !ok || len(c.Stages) < 2 {
-		return nil
-	}
-	return c
-}
-
-// stage linearizes one interior node, appending its operands' stages
-// first (post-order), and returns the operand describing it.
-func (ff *factFinder) stage(c *Chain, x ast.Expr) (ChainArg, bool) {
-	t := ff.info.TypeOf(x)
-	if t == nil {
-		return ChainArg{}, false
-	}
-	switch t.Kind {
-	case types.Int, types.Float:
-		if t.Kind == types.Float && c.Elem != types.Float {
-			return ChainArg{}, false // float scalar promotes an int chain
-		}
-		switch x.(type) {
-		case *ast.IntLit, *ast.FloatLit, *ast.Ident:
-			return ChainArg{Kind: ArgScalar, X: x}, true
-		}
-		return ChainArg{}, false
-
-	case types.Matrix:
-		if t.Elem == nil || t.Elem.Kind != c.Elem {
-			return ChainArg{}, false
-		}
-		switch x := x.(type) {
-		case *ast.Ident:
-			return ChainArg{Kind: ArgMatrix, X: x}, true
-		case *ast.BinaryExpr:
-			if !ff.legalOp(x) {
-				return ChainArg{}, false
-			}
-			l, ok := ff.stage(c, x.L)
-			if !ok {
-				return ChainArg{}, false
-			}
-			r, ok := ff.stage(c, x.R)
-			if !ok {
-				return ChainArg{}, false
-			}
-			c.Stages = append(c.Stages, ChainStage{Node: x, Op: x.Op, L: l, R: r})
-			return ChainArg{Kind: ArgStage, Stage: len(c.Stages) - 1}, true
-		}
-		return ChainArg{}, false
-	}
-	return ChainArg{}, false
-}
-
-// legalOp reports whether a matrix-typed binary node's operator is
-// fusable (see the package comment for the rationale per operator).
-func (ff *factFinder) legalOp(x *ast.BinaryExpr) bool {
-	switch x.Op {
-	case ast.OpAdd, ast.OpSub, ast.OpElemMul:
-		return true
-	case ast.OpMul:
-		// Matrix * matrix is matmul; only scalar scaling is elementwise.
-		lt, rt := ff.info.TypeOf(x.L), ff.info.TypeOf(x.R)
-		lScalar := lt != nil && (lt.Kind == types.Int || lt.Kind == types.Float)
-		rScalar := rt != nil && (rt.Kind == types.Int || rt.Kind == types.Float)
-		return lScalar != rScalar
-	case ast.OpDiv:
-		// Int division traps per element; only float chains fuse it.
-		t := ff.info.TypeOf(x)
-		return t != nil && t.Elem != nil && t.Elem.Kind == types.Float
-	}
-	return false
 }

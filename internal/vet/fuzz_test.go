@@ -52,9 +52,9 @@ func FuzzVet(f *testing.F) {
 		"int w(int n) { return n; } int main() { int a = 0; for (int i = 0; i < 3; i++) { spawn a = w(i); } sync; return a; }",
 		"int w(int n) { return n; } int main() { int a = 0; if (1 < 2) { spawn a = w(1); } print(a); sync; return a; }",
 		"int p(int n) { return n * 2; } int main() { spawn p(3); sync; return 0; }",
-		// Chained elementwise expressions at the fusion-legality
-		// boundary: legal chains, matmul stages, int division, mixed
-		// element types, unassigned leaves.
+		// Chained elementwise expressions: float and int chains,
+		// matmul stages, int division, mixed element types,
+		// unassigned leaves.
 		"int main() { Matrix float <1> a = [0 :: 7] * 1.0; Matrix float <1> b = [1 :: 8] * 1.0; Matrix float <1> r = a .* b + a - b / 2.0; print(r[end]); return 0; }",
 		"int main() { Matrix int <1> u = [1 :: 6]; Matrix int <1> w = u .* 2 + u - u .* u; print(w[end]); return 0; }",
 		"int main() { Matrix float <2> a = init(Matrix float <2>, 2, 2); Matrix float <2> r = a * a + a .* a; print(r[0, 0]); return 0; }",

@@ -7,8 +7,8 @@
 // against its registers and runs the loop through
 // matrix.GenArrayFlat/FoldFlat instead of a per-element closure.
 //
-// Legality is strict for the same reason chain fusion is: the flat
-// engine must replay the closure engine's observables exactly.
+// Legality is strict because the flat engine must reproduce the
+// closure engine's observables exactly.
 // Excluded on principle: `%` and int `/` (trap per element mid-loop),
 // comparisons and logicals (bool bodies), calls (effects, recursion),
 // `end` (needs the enclosing indexing context), nested with-loops

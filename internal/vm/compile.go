@@ -34,7 +34,7 @@ func Compile(prog *ast.Program, info *sem.Info) (p *Program, err error) {
 // CompileWithFacts is Compile with a precomputed vet.Facts side table
 // (the driver caches Facts content-addressed and passes them in so the
 // analysis runs once per source, not once per compile). facts may be
-// nil: the program compiles without fusion.
+// nil: every with-loop then compiles to the closure path.
 func CompileWithFacts(prog *ast.Program, info *sem.Info, facts *vet.Facts) (p *Program, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -95,29 +95,27 @@ func CompileWithFacts(prog *ast.Program, info *sem.Info, facts *vet.Facts) (p *P
 		main = mi
 	}
 	return &Program{
-		prog:       prog,
-		info:       info,
-		protos:     c.protos,
-		consts:     c.consts,
-		globals:    c.globals,
-		ginit:      c.ginit,
-		main:       main,
-		fusedSites: c.fusedSites,
-		withSites:  c.withSites,
+		prog:      prog,
+		info:      info,
+		protos:    c.protos,
+		consts:    c.consts,
+		globals:   c.globals,
+		ginit:     c.ginit,
+		main:      main,
+		withSites: c.withSites,
 	}, nil
 }
 
 type compiler struct {
-	prog       *ast.Program
-	info       *sem.Info
-	facts      *vet.Facts
-	fusedSites int
-	withSites  int
-	protos     []*proto
-	protoIdx   map[string]int
-	globals    []globalDef
-	globIdx    map[string]int
-	ginit      *proto
+	prog      *ast.Program
+	info      *sem.Info
+	facts     *vet.Facts
+	withSites int
+	protos    []*proto
+	protoIdx  map[string]int
+	globals   []globalDef
+	globIdx   map[string]int
+	ginit     *proto
 	// ginitDeclared limits global visibility while compiling global
 	// initializers: the tree walker binds globals one at a time, so an
 	// initializer referencing a later global fails "undeclared".

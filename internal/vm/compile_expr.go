@@ -10,7 +10,6 @@ import (
 	"repro/internal/interp"
 	"repro/internal/matrix"
 	"repro/internal/types"
-	"repro/internal/vet"
 )
 
 func (f *fnc) compileExpr(e ast.Expr) (int32, class) {
@@ -207,15 +206,6 @@ var floatCmp = map[ast.BinOp]opcode{
 }
 
 func (f *fnc) compileBinary(e *ast.BinaryExpr) (int32, class) {
-	// A vet.Facts-proven fusable chain compiles to one opFused loop
-	// instead of a kernel pass per stage. Chains are matrix-typed, so
-	// the scalar fast paths below never compete with this.
-	if ch := f.c.facts.ChainAt(e); ch != nil {
-		if r, cl, ok := f.compileFused(e, ch); ok {
-			return r, cl
-		}
-	}
-
 	lk := f.c.info.TypeOf(e.L).Kind
 	rk := f.c.info.TypeOf(e.R).Kind
 
@@ -302,83 +292,6 @@ func (f *fnc) compileBinary(e *ast.BinaryExpr) (int32, class) {
 	f.emit(instr{op: opBinM, a: dst, b: int32(cl), nd: e,
 		aux: &binDesc{e: e, l: argDesc{reg: l, cl: lcl}, r: argDesc{reg: r, cl: rcl}}})
 	return dst, cl
-}
-
-// binToKernelOp mirrors interp's binToMatrixOp for the fusable
-// operators (vet's legality rules exclude the rest).
-var binToKernelOp = map[ast.BinOp]matrix.Op{
-	ast.OpAdd: matrix.OpAdd, ast.OpSub: matrix.OpSub,
-	ast.OpMul: matrix.OpMul, ast.OpElemMul: matrix.OpMul,
-	ast.OpDiv: matrix.OpDiv,
-}
-
-// compileFused lowers a proven chain to one opFused instruction. Leaf
-// expressions (identifiers and literals only, per the legality rules)
-// compile in tree evaluation order, so an undeclared-global error in a
-// global initializer still surfaces at the right leaf. Returns ok =
-// false to fall back to the generic opBinM lowering when a leaf does
-// not resolve to the expected register class (unreachable in checked
-// programs; the few dead leaf loads already emitted are side-effect
-// free).
-func (f *fnc) compileFused(e *ast.BinaryExpr, ch *vet.Chain) (int32, class, bool) {
-	elem := matrix.Float
-	if ch.Elem == types.Int {
-		elem = matrix.Int
-	}
-	d := &fusedDesc{e: e, elem: elem, stages: make([]fusedStagePlan, len(ch.Stages))}
-	for i, st := range ch.Stages {
-		op, ok := binToKernelOp[st.Op]
-		if !ok {
-			return 0, 0, false
-		}
-		be, ok := st.Node.(*ast.BinaryExpr)
-		if !ok {
-			return 0, 0, false
-		}
-		l, ok := f.fusedArg(st.L, elem)
-		if !ok {
-			return 0, 0, false
-		}
-		r, ok := f.fusedArg(st.R, elem)
-		if !ok {
-			return 0, 0, false
-		}
-		d.stages[i] = fusedStagePlan{node: be, op: op, l: l, r: r}
-	}
-	dst := f.reg()
-	f.emit(instr{op: opFused, a: dst, nd: e, aux: d})
-	f.c.fusedSites++
-	return dst, clR, true
-}
-
-// fusedArg compiles one chain operand into its runtime plan. Scalars
-// convert to the chain's element type at compile time, mirroring the
-// charge-free int→float scalar conversion BroadcastExec performs.
-func (f *fnc) fusedArg(a vet.ChainArg, elem matrix.Elem) (fusedArgPlan, bool) {
-	switch a.Kind {
-	case vet.ArgStage:
-		return fusedArgPlan{kind: matrix.FusedStageArg, stage: a.Stage}, true
-	case vet.ArgMatrix:
-		r, cl := f.compileExpr(a.X)
-		if cl != clR {
-			return fusedArgPlan{}, false
-		}
-		return fusedArgPlan{kind: matrix.FusedMatrixArg, reg: r, cl: cl}, true
-	case vet.ArgScalar:
-		r, cl := f.compileExpr(a.X)
-		switch {
-		case elem == matrix.Float && cl == clI:
-			out := f.reg()
-			f.emit(instr{op: opI2F, a: out, b: r})
-			r, cl = out, clF
-		case elem == matrix.Float && cl == clF:
-		case elem == matrix.Int && cl == clI:
-		default:
-			return fusedArgPlan{}, false
-		}
-		return fusedArgPlan{kind: matrix.FusedScalarArg, reg: r, cl: cl}, true
-	}
-	return fusedArgPlan{}, false
 }
 
 // floatOperand evaluates a statically numeric operand into a float

@@ -5,21 +5,16 @@
 package vm
 
 import (
-	"errors"
 	"sync/atomic"
 
-	"repro/internal/ast"
 	"repro/internal/interp"
 	"repro/internal/matrix"
 )
 
-// fusedLoopsRun counts opFused executions across all machines, for the
-// driver's vm_fused_loops metric.
-var fusedLoopsRun atomic.Int64
-
-// FusedLoopsRun reports the number of fused chain loops executed by
-// the VM process-wide.
-func FusedLoopsRun() int64 { return fusedLoopsRun.Load() }
+// FusedLoopsRun always reports 0: the VM runs an elementwise chain as
+// one kernel pass per stage, as the tree walker does. It stays because
+// the serving benchmark (cmbench) reads it.
+func FusedLoopsRun() int64 { return 0 }
 
 // withFlatRun counts with-loops executed on the flat engine (rather
 // than falling back to the per-element closure path) across all
@@ -29,24 +24,6 @@ var withFlatRun atomic.Int64
 // WithFlatLoopsRun reports the number of with-loops the VM executed on
 // the flat engine process-wide.
 func WithFlatLoopsRun() int64 { return withFlatRun.Load() }
-
-// fusedArg resolves one compiled fused operand against the frame's
-// registers. A boxed register holding a non-matrix (only possible via
-// unchecked programs) resolves to a nil matrix, which FusedExec rejects
-// like the unfused engine's nil check.
-func (fr *frame) fusedArg(p fusedArgPlan, elem matrix.Elem) matrix.FusedArg {
-	switch p.kind {
-	case matrix.FusedStageArg:
-		return matrix.FusedArg{Kind: matrix.FusedStageArg, Stage: p.stage}
-	case matrix.FusedMatrixArg:
-		m, _ := fr.regs[p.reg].r.(*matrix.Matrix)
-		return matrix.FusedArg{Kind: matrix.FusedMatrixArg, Mat: m}
-	}
-	if elem == matrix.Int {
-		return matrix.FusedArg{Kind: matrix.FusedScalarArg, I: fr.regs[p.reg].i}
-	}
-	return matrix.FusedArg{Kind: matrix.FusedScalarArg, F: fr.regs[p.reg].f}
-}
 
 func (mc *Machine) exec(fr *frame, p *proto) error {
 	code := p.code
@@ -299,33 +276,6 @@ func (mc *Machine) exec(fr *frame, p *proto) error {
 			if err := fr.store(in.a, class(in.b), v, in.nd); err != nil {
 				return err
 			}
-		case opFused:
-			d := in.aux.(*fusedDesc)
-			stages := make([]matrix.FusedStage, len(d.stages))
-			for i := range d.stages {
-				sp := &d.stages[i]
-				stages[i] = matrix.FusedStage{
-					Op: sp.op,
-					L:  fr.fusedArg(sp.l, d.elem),
-					R:  fr.fusedArg(sp.r, d.elem),
-				}
-			}
-			out, failed, err := matrix.FusedExec(stages, d.elem, mc.in.Exec(fr.pool))
-			if err != nil {
-				nd := ast.Node(d.e)
-				if failed >= 0 && failed < len(d.stages) {
-					nd = d.stages[failed].node
-				}
-				if errors.Is(err, matrix.ErrUnassignedOperand) {
-					return interp.Errorf(nd, "use of unassigned matrix")
-				}
-				return interp.WrapError(nd, err)
-			}
-			fusedLoopsRun.Add(1)
-			if err := fr.store(in.a, clR, out, in.nd); err != nil {
-				return err
-			}
-
 		case opUnM:
 			d := in.aux.(*unDesc)
 			v, err := interp.EvalUnary(d.e, fr.box(d.x), mc.in.Exec(fr.pool))

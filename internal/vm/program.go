@@ -197,13 +197,10 @@ const (
 	opSpawn  // spawn per aux *spawnDesc
 	opSync
 
-	// Fused elementwise chain (vet.Facts-proven legality), aux *fusedDesc.
-	opFused
-
 	// Flat-compiled with-loops (vet.Facts-proven bodies): aux is the
 	// same *withDesc as opWith with a non-nil flat plan. The handler
 	// tries the flat engine and falls back to opWith semantics when the
-	// runtime admission declines.
+	// flat engine declines.
 	opWithGen
 	opWithFold
 )
@@ -375,32 +372,6 @@ type spawnDesc struct {
 	name   string // target name for the undeclared error
 }
 
-// fusedArgPlan locates one operand of a fused stage at compile time:
-// an earlier stage's block scratch, a matrix leaf register, or a
-// scalar register already converted to the chain's element type.
-type fusedArgPlan struct {
-	kind  matrix.FusedArgKind
-	stage int
-	reg   int32
-	cl    class
-}
-
-// fusedStagePlan is one compiled stage; node anchors any error this
-// stage's admission or execution raises, matching the span the tree
-// walker would report for the same stage.
-type fusedStagePlan struct {
-	node ast.Node
-	op   matrix.Op
-	l, r fusedArgPlan
-}
-
-// fusedDesc drives opFused.
-type fusedDesc struct {
-	e      *ast.BinaryExpr
-	elem   matrix.Elem
-	stages []fusedStagePlan
-}
-
 // paramDef is one compiled parameter.
 type paramDef struct {
 	reg int32
@@ -431,23 +402,18 @@ type globalDef struct {
 // across concurrent runs (the driver caches it content-addressed by
 // source, alongside the artifact caches).
 type Program struct {
-	prog       *ast.Program
-	info       *sem.Info
-	protos     []*proto
-	consts     []value
-	globals    []globalDef
-	ginit      *proto
-	main       int // proto index of main, -1 when absent
-	fusedSites int // opFused sites emitted (facts-proven chains)
-	withSites  int // opWithGen/opWithFold sites emitted (facts-proven with-loops)
+	prog      *ast.Program
+	info      *sem.Info
+	protos    []*proto
+	consts    []value
+	globals   []globalDef
+	ginit     *proto
+	main      int // proto index of main, -1 when absent
+	withSites int // opWithGen/opWithFold sites emitted (facts-proven with-loops)
 }
 
 // Funcs reports the number of compiled function protos (for tests).
 func (p *Program) Funcs() int { return len(p.protos) }
-
-// FusedSites reports the number of fused-chain sites the compiler
-// emitted (each replaces two or more opBinM kernel passes).
-func (p *Program) FusedSites() int { return p.fusedSites }
 
 // WithCompiled reports the number of with-loop sites compiled to the
 // flat engine (each replaces a per-element body closure with a flat

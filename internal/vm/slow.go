@@ -348,12 +348,13 @@ func (mc *Machine) execWith(fr *frame, in *instr) error {
 	return nil
 }
 
-// execWithFlat attempts a facts-compiled with-loop on the flat engine.
-// handled=false means the admission declined — a leaf register holds
-// an unexpected value, or the flat engine itself declined (infeasible
-// indices, element mismatch) — with nothing observable done: no hook
-// firings, no budget charges. The caller then falls back to the
-// closure engine, which reproduces any error byte-identically.
+// execWithFlat attempts a facts-compiled with-loop on the flat engine,
+// which admits through the closure engine's own helpers and so raises
+// admission errors itself. handled=false means the flat path declined
+// — a leaf register holds an unexpected value, or the flat engine's
+// own checks failed (leaf verification, element mismatch, infeasible
+// indices) — with nothing observable done: no hook firings, no budget
+// charges. The caller then runs the closure engine.
 func (mc *Machine) execWithFlat(fr *frame, in *instr) (bool, error) {
 	d := in.aux.(*withDesc)
 	fp := d.flat

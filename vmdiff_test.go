@@ -300,6 +300,14 @@ int main() {
 	print(shifted[0]);
 	return 0;
 }`},
+	{name: "err_with_flat_not_superset", src: `
+int main() {
+	int n = 5;
+	Matrix float <1> m;
+	m = with ([0] <= [i] < [n]) genarray([n - 1], (float)i * 2.0);
+	print(m[0]);
+	return 0;
+}`},
 	{name: "with_flat_promoted_fold", src: `
 int main() {
 	int n = 6;
