@@ -1,9 +1,9 @@
-// Kernel-breadth benchmarks (PR 10): the blocked transpose, 2-D
-// convolution, axis reduction and recursive-matmul kernels against the
-// retained boxed *Ref oracles, plus the compiled with-loop ablation —
-// the same proven genarray/fold program run through the tree walker,
-// the VM on closure bodies (no facts), and the VM on the flat engine
-// (facts-driven). BENCH_kernels2.json records the committed numbers.
+// Kernel-breadth benchmarks: the blocked transpose tiles against the
+// closure engine, the recursive matmul against the boxed MatMulRef
+// oracle, and the compiled with-loop ablation — the same proven
+// genarray/fold program run through the tree walker, the VM on closure
+// bodies (no facts), and the VM on the flat engine (facts-driven).
+// BENCH_kernels2.json records the committed numbers.
 //
 // Run with: go test -bench=Kernel -benchmem
 package repro_test
@@ -52,78 +52,36 @@ func kb2Execs() []struct {
 	}
 }
 
-// BenchmarkKernelTranspose: cache-blocked tiles vs the boxed
-// element-at-a-time reference. 2048x2048 float is the acceptance row.
+// BenchmarkKernelTranspose: the flat engine's m[j,i] body, which runs
+// the cache-blocked transpose tiles, vs the closure engine evaluating
+// the same with-loop one boxed cell at a time. 2048x2048 float is the
+// acceptance row.
 func BenchmarkKernelTranspose(b *testing.B) {
+	code := []matrix.WithInstr{{Op: matrix.WPushID, A: 1}, {Op: matrix.WPushID, A: 0}, {Op: matrix.WLoadF, B: 2}}
 	for _, size := range []int{512, 2048} {
 		m := kb2Mat(matrix.Float, size, size)
+		env := &matrix.WithEnv{Code: code, Mats: []*matrix.Matrix{m}, Float: true}
+		lower, upper := []int{0, 0}, []int{size, size}
 		for _, e := range kb2Execs() {
 			b.Run(fmt.Sprintf("kernel/%s/%d", e.name, size), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					out, err := matrix.TransposeExec(m, e.x)
-					if err != nil {
-						b.Fatal(err)
+					out, handled, err := matrix.GenArrayFlat(matrix.Float, lower, upper, upper, env, e.x)
+					if err != nil || !handled {
+						b.Fatalf("flat transpose: handled=%v err=%v", handled, err)
 					}
 					out.Recycle()
 				}
 			})
 		}
-		b.Run(fmt.Sprintf("generic/%d", size), func(b *testing.B) {
+		fl := m.Floats()
+		body := func(idx []int) (any, error) { return fl[idx[1]*size+idx[0]], nil }
+		b.Run(fmt.Sprintf("closure/%d", size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := matrix.TransposeRef(m); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkKernelConv2D: specialized row loops vs the boxed reference.
-// 1024x1024 with a 3x3 kernel is the acceptance row.
-func BenchmarkKernelConv2D(b *testing.B) {
-	src := kb2Mat(matrix.Float, 1024, 1024)
-	kern := kb2Mat(matrix.Float, 3, 3)
-	for _, e := range kb2Execs() {
-		b.Run("kernel/"+e.name+"/1024x1024_3x3", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				out, err := matrix.Conv2DExec(src, kern, e.x)
+				out, err := matrix.GenArrayExec(matrix.Float, lower, upper, upper, body, matrix.Exec{})
 				if err != nil {
 					b.Fatal(err)
 				}
 				out.Recycle()
-			}
-		})
-	}
-	b.Run("generic/1024x1024_3x3", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := matrix.Conv2DRef(src, kern); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkKernelReduceAxis: blocked axis reduction vs the boxed
-// reference, along both the outer (0) and inner (1) axis of a square.
-func BenchmarkKernelReduceAxis(b *testing.B) {
-	m := kb2Mat(matrix.Float, 2048, 2048)
-	for _, axis := range []int{0, 1} {
-		for _, e := range kb2Execs() {
-			b.Run(fmt.Sprintf("kernel/%s/sum_axis%d", e.name, axis), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					out, err := matrix.ReduceAxisExec(matrix.FoldAdd, m, axis, e.x)
-					if err != nil {
-						b.Fatal(err)
-					}
-					out.Recycle()
-				}
-			})
-		}
-		b.Run(fmt.Sprintf("generic/sum_axis%d", axis), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := matrix.ReduceAxisRef(matrix.FoldAdd, m, axis); err != nil {
-					b.Fatal(err)
-				}
 			}
 		})
 	}
@@ -138,7 +96,7 @@ func BenchmarkKernelRecMatMul(b *testing.B) {
 	y := kb2Mat(matrix.Float, size, size)
 	b.Run(fmt.Sprintf("kernel/%d", size), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := matrix.MatMul(x, y); err != nil {
+			if _, err := matrix.MatMulExec(x, y, matrix.Exec{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -137,8 +137,8 @@ func BenchmarkE4_WithLoopScaling(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := matrix.GenArray(matrix.Float,
-					[]int{0, 0}, []int{m, n}, []int{m, n}, body, pool); err != nil {
+				if _, err := matrix.GenArrayExec(matrix.Float,
+					[]int{0, 0}, []int{m, n}, []int{m, n}, body, matrix.Exec{Pool: pool}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -153,7 +153,7 @@ func BenchmarkE5_MatrixMapConnComp(b *testing.B) {
 	ssh, _ := eddy.Synthesize(eddy.SynthOptions{Lat: 32, Lon: 32, Time: 16,
 		NumEddies: 4, NoiseAmp: 0.05, SwellAmp: 0.08, Seed: 2})
 	label := func(sub *matrix.Matrix) (*matrix.Matrix, error) {
-		bin, err := matrix.Broadcast(matrix.OpLt, sub, -0.2, true)
+		bin, err := matrix.BroadcastExec(matrix.OpLt, sub, -0.2, true, matrix.Exec{})
 		if err != nil {
 			return nil, err
 		}
@@ -161,7 +161,7 @@ func BenchmarkE5_MatrixMapConnComp(b *testing.B) {
 	}
 	b.Run("matrixMap", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := matrix.MatrixMap(ssh, []int{0, 1}, matrix.Int, label, nil); err != nil {
+			if _, err := matrix.MatrixMapExec(ssh, []int{0, 1}, matrix.Int, label, matrix.Exec{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -391,16 +391,16 @@ func BenchmarkE10_FusionAblation(b *testing.B) {
 	}
 	b.Run("slice-eliminated", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := matrix.GenArray(matrix.Float, []int{0, 0}, []int{m, n},
-				[]int{m, n}, direct, nil); err != nil {
+			if _, err := matrix.GenArrayExec(matrix.Float, []int{0, 0}, []int{m, n},
+				[]int{m, n}, direct, matrix.Exec{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("copied-slice", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := matrix.GenArray(matrix.Float, []int{0, 0}, []int{m, n},
-				[]int{m, n}, viaSlice, nil); err != nil {
+			if _, err := matrix.GenArrayExec(matrix.Float, []int{0, 0}, []int{m, n},
+				[]int{m, n}, viaSlice, matrix.Exec{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -408,8 +408,8 @@ func BenchmarkE10_FusionAblation(b *testing.B) {
 	// fusion: move the with-loop result into its destination...
 	b.Run("fused-move", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			out, err := matrix.GenArray(matrix.Float, []int{0, 0}, []int{m, n},
-				[]int{m, n}, direct, nil)
+			out, err := matrix.GenArrayExec(matrix.Float, []int{0, 0}, []int{m, n},
+				[]int{m, n}, direct, matrix.Exec{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -419,8 +419,8 @@ func BenchmarkE10_FusionAblation(b *testing.B) {
 	// ...versus the library's extra copy into the destination.
 	b.Run("unfused-copy", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			out, err := matrix.GenArray(matrix.Float, []int{0, 0}, []int{m, n},
-				[]int{m, n}, direct, nil)
+			out, err := matrix.GenArrayExec(matrix.Float, []int{0, 0}, []int{m, n},
+				[]int{m, n}, direct, matrix.Exec{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -478,7 +478,7 @@ func BenchmarkKernelElementwise(b *testing.B) {
 			y := kernelBenchMat(elem, size)
 			b.Run(fmt.Sprintf("kernel/%s/%d", elem, size), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := matrix.Elementwise(matrix.OpAdd, x, y); err != nil {
+					if _, err := matrix.ElementwiseExec(matrix.OpAdd, x, y, matrix.Exec{}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -505,7 +505,7 @@ func BenchmarkKernelBroadcast(b *testing.B) {
 			}
 			b.Run(fmt.Sprintf("kernel/%s/%d", elem, size), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := matrix.Broadcast(matrix.OpMul, x, s, true); err != nil {
+					if _, err := matrix.BroadcastExec(matrix.OpMul, x, s, true, matrix.Exec{}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -539,7 +539,7 @@ func BenchmarkKernelMatMul(b *testing.B) {
 			}
 			b.Run(fmt.Sprintf("kernel/%s/%d", elem, size), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := matrix.MatMul(xm, ym); err != nil {
+					if _, err := matrix.MatMulExec(xm, ym, matrix.Exec{}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -569,11 +569,11 @@ func BenchmarkKernelChained(b *testing.B) {
 		matrix.DrainFreeLists()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			s, err := matrix.Elementwise(matrix.OpAdd, x, y)
+			s, err := matrix.ElementwiseExec(matrix.OpAdd, x, y, matrix.Exec{})
 			if err != nil {
 				b.Fatal(err)
 			}
-			out, err := matrix.Elementwise(matrix.OpMul, s, z)
+			out, err := matrix.ElementwiseExec(matrix.OpMul, s, z, matrix.Exec{})
 			if err != nil {
 				b.Fatal(err)
 			}

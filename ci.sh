@@ -51,7 +51,7 @@ echo "== go test -race (crash-proofing + overload layers) =="
 go test -race ./internal/par ./internal/matrix ./internal/interp ./internal/server ./internal/driver
 
 echo "== go test -race (kernel differential + integration suites) =="
-go test -race -run 'Kernel|Conv2D|FoldExec|Recycle|FreeList|SetOnFree' ./internal/matrix ./internal/interp ./internal/rc
+go test -race -run 'Kernel|FoldExec|Recycle|FreeList|SetOnFree' ./internal/matrix ./internal/interp ./internal/rc
 
 echo "== with-loop flat engine (vet plans + VM flat execution, race) =="
 go test -race -run 'TestWithPlan|TestWithFlat|TestCompileWith' ./internal/vet ./internal/vm

@@ -19,6 +19,15 @@ var (
 	cmdBuildErr  error
 )
 
+// TestMain removes the directory buildCommands shares across tests.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if cmdBinDir != "" {
+		os.RemoveAll(cmdBinDir)
+	}
+	os.Exit(code)
+}
+
 // buildCommands compiles all cmd/ binaries once per test run.
 func buildCommands(t *testing.T) string {
 	t.Helper()

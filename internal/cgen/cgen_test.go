@@ -187,8 +187,9 @@ func TestE2SplitProducesFig10(t *testing.T) {
 }
 
 // splitRemainderSrc splits trip counts that are not multiples of the
-// factor: a constant 7 (vectorized), a run-time n = 7, and a tile
-// whose outer loop has a remainder.
+// factor: a constant 7 (vectorized), a run-time n = 7, a tile whose
+// outer loop has a remainder, a tile whose inner loop has one, and a
+// tile of a dimSize bound (both loops have one).
 const splitRemainderSrc = `
 int main() {
 	int n = 7;
@@ -201,13 +202,26 @@ int main() {
 	Matrix float <2> c;
 	c = with ([0, 0] <= [x, y] < [7, 8]) genarray([7, 8], (float)(x * 8 + y))
 		transform tile x by 4, y by 4;
+	Matrix float <2> d;
+	d = with ([0, 0] <= [x, y] < [8, 7]) genarray([8, 7], (float)(x * 7 + y))
+		transform tile x by 4, y by 4;
+	int w = dimSize(a, 1);
+	Matrix float <2> e;
+	e = with ([0, 0] <= [x, y] < [9, w]) genarray([9, w], (float)(x * 100 - y))
+		transform tile x by 4, y by 4;
 	float s = with ([0, 0] <= [i, j] < [3, 7]) fold(+, 0.0, a[i, j] + b[i, j]);
 	float sc = with ([0, 0] <= [x, y] < [7, 8]) fold(+, 0.0, c[x, y]);
+	float sd = with ([0, 0] <= [x, y] < [8, 7]) fold(+, 0.0, d[x, y]);
+	float se = with ([0, 0] <= [x, y] < [9, w]) fold(+, 0.0, e[x, y]);
 	print(s);
 	print(sc);
+	print(sd);
+	print(se);
 	print(a[2, 6]);
 	print(b[2, 6]);
 	print(c[6, 7]);
+	print(d[7, 6]);
+	print(e[8, 6]);
 	return 0;
 }
 `
@@ -237,19 +251,22 @@ func TestSplitRemainderCompiledMatchesInterpreter(t *testing.T) {
 	}
 }
 
-// A tile whose inner loop has a remainder would reorder an imperfect
-// nest; the translator must refuse it rather than emit wrong C.
-func TestTileInnerRemainderIsCompileError(t *testing.T) {
-	src := strings.Replace(splitRemainderSrc, "[7, 8]) genarray([7, 8]", "[8, 7]) genarray([8, 7]", 1)
-	var d source.Diagnostics
-	prog := parser.ParseFile("t.xc", src, parser.AllExtensions(), &d)
-	info := sem.Check(prog, &d)
-	if d.HasErrors() {
-		t.Fatalf("check failed:\n%s", d.String())
-	}
-	_, err := Generate(prog, info, Options{Par: ParNone, Optimize: true})
-	if err == nil || !strings.Contains(err.Error(), "perfect loop nest") {
-		t.Fatalf("Generate error = %v, want a perfect-nest error", err)
+// A tile whose inner loop has a remainder translates: the y remainder
+// runs after each xout block's tiles under its own copy of the xin
+// loop, so the generated C opens two xin loops.
+func TestTileInnerRemainderCompiles(t *testing.T) {
+	src := `
+int main() {
+	Matrix float <2> d;
+	d = with ([0, 0] <= [x, y] < [8, 7]) genarray([8, 7], (float)(x * 7 + y))
+		transform tile x by 4, y by 4;
+	print(d[7, 6]);
+	return 0;
+}
+`
+	c := gen(t, src, Options{Par: ParNone, Optimize: true})
+	if n := strings.Count(c, "for (long u_xin = "); n != 2 {
+		t.Errorf("generated C has %d xin loops, want 2 (tiles and y remainder):\n%s", n, numberLines(c))
 	}
 }
 

@@ -242,11 +242,9 @@ type MetricsSnapshot struct {
 	KernelSerial   int64 `json:"kernel_serial_total"`
 	KernelReused   int64 `json:"kernel_buffers_reused"`
 
-	// Per-kernel execution counters (process-wide, from
+	// With-loops run as a cache-blocked transpose (process-wide, from
 	// matrix.KernelOpStats).
 	KernelTranspose int64 `json:"kernel_transpose_total"`
-	KernelConv      int64 `json:"kernel_conv_total"`
-	KernelReduce    int64 `json:"kernel_reduce_total"`
 
 	ParseLatency   HistogramSnapshot `json:"parse_latency"`
 	CheckLatency   HistogramSnapshot `json:"check_latency"`
@@ -329,6 +327,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 	}
 	m.tenantMu.Unlock()
 	s.KernelParallel, s.KernelSerial, s.KernelReused = matrix.KernelStats()
-	s.KernelTranspose, s.KernelConv, s.KernelReduce = matrix.KernelOpStats()
+	s.KernelTranspose = matrix.KernelOpStats()
 	return s
 }

@@ -12,7 +12,6 @@ package grammar
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/rx"
@@ -208,15 +207,6 @@ func (g *Grammar) Terminals() []*Terminal {
 // Productions returns the production list in composition order.
 func (g *Grammar) Productions() []*Production { return g.prods }
 
-// ProductionsFor returns the productions with the given LHS.
-func (g *Grammar) ProductionsFor(lhs string) []*Production {
-	var out []*Production
-	for _, i := range g.byLHS[lhs] {
-		out = append(out, g.prods[i])
-	}
-	return out
-}
-
 // Owners returns the owner tags composed into this grammar, host first.
 func (g *Grammar) Owners() []string { return g.specs }
 
@@ -301,24 +291,4 @@ func Pat(name, pattern, owner string) *Terminal {
 // Rule is a convenience constructor for a production.
 func Rule(owner, lhs string, rhs []string, action func([]any) any) *Production {
 	return &Production{LHS: lhs, RHS: rhs, Owner: owner, Action: action}
-}
-
-// Describe returns a human-readable grammar summary, used by
-// cmd/composecheck and in debugging.
-func (g *Grammar) Describe() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "start: %s\n", g.Start)
-	fmt.Fprintf(&b, "terminals: %d, nonterminals: %d, productions: %d\n",
-		len(g.terms)-1, len(g.nts), len(g.prods))
-	names := make([]string, 0, len(g.nts))
-	for n := range g.nts {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		for _, i := range g.byLHS[n] {
-			fmt.Fprintf(&b, "  %s\n", g.prods[i])
-		}
-	}
-	return b.String()
 }

@@ -94,10 +94,6 @@ func trapErr(n ast.Node, code TrapCode, format string, args ...any) error {
 	return &RuntimeError{Node: n, Trap: code, Err: fmt.Errorf(format, args...)}
 }
 
-// Classify assigns a trap code to an arbitrary execution error;
-// exported for alternate execution engines.
-func Classify(err error) TrapCode { return classifyErr(err) }
-
 // WrapError attaches a source node and trap classification to err,
 // passing existing *RuntimeErrors through unchanged; exported for
 // alternate execution engines.

@@ -35,18 +35,6 @@ func NewEnv() *Env {
 	return &Env{Vars: map[string]Value{}, Arrays: map[string][]float64{}}
 }
 
-// Clone deep-copies the environment.
-func (e *Env) Clone() *Env {
-	out := NewEnv()
-	for k, v := range e.Vars {
-		out.Vars[k] = v
-	}
-	for k, a := range e.Arrays {
-		out.Arrays[k] = append([]float64(nil), a...)
-	}
-	return out
-}
-
 // EvalExpr evaluates an IR expression in the environment.
 func (e *Env) EvalExpr(x Expr) (Value, error) {
 	switch x := x.(type) {

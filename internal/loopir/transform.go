@@ -221,7 +221,10 @@ func findFirstNamed(body []Stmt, named map[string]bool) ([]Stmt, int, *Loop) {
 // Tile is the derived transformation of §V: "a transformation
 // specification to tile two nested loops indexed by x and y can be
 // specified as two splits and a reorder": split x into xin/xout,
-// split y into yin/yout, then reorder to xout, yout, xin, yin.
+// split y into yin/yout, then reorder to xout, yout, xin, yin. When
+// y's trip count is not a constant multiple of fy, its remainder loop
+// runs after the tiles of each xout block under its own copy of the
+// xin loop.
 func Tile(body []Stmt, x string, fx int64, y string, fy int64) ([]Stmt, error) {
 	xin, xout := x+"in", x+"out"
 	yin, yout := y+"in", y+"out"
@@ -233,9 +236,23 @@ func Tile(body []Stmt, x string, fx int64, y string, fy int64) ([]Stmt, error) {
 	if err != nil {
 		return nil, fmt.Errorf("loopir: tile: %w", err)
 	}
+	// A y remainder sits beside yout inside xin, so the nest is no
+	// longer perfect. Cells are independent, which makes it sound to
+	// move the remainder under a copy of xin and reorder the rest.
+	var rem Stmt
+	if xi := FindLoop(b, xin); xi != nil && len(xi.Body) == 2 {
+		if r, ok := xi.Body[1].(*Loop); ok && r.Index == y {
+			rem = &Loop{Index: xin, Lo: xi.Lo, Hi: xi.Hi, Body: []Stmt{r}}
+			xi.Body = xi.Body[:1]
+		}
+	}
 	b, err = Reorder(b, []string{xout, yout, xin, yin})
 	if err != nil {
 		return nil, fmt.Errorf("loopir: tile: %w", err)
+	}
+	if rem != nil {
+		xo := FindLoop(b, xout)
+		xo.Body = append(xo.Body, rem)
 	}
 	return b, nil
 }

@@ -364,39 +364,42 @@ func TestSplitRemainder(t *testing.T) {
 	}
 }
 
-// A remainder loop leaves an imperfect nest. Tiling keeps working when
-// only the outer loop has a remainder (the remainder runs the original
-// inner loop), and is rejected — never mis-compiled — when the inner
-// loop's remainder would sit inside the nest being reordered.
+// A remainder loop leaves an imperfect nest. Tiling must keep every
+// cell whichever loop has a remainder: an outer remainder runs the
+// original inner loop, an inner one runs under its own copy of the
+// xin loop. Run-time bounds always get a remainder loop.
 func TestTileWithRemainder(t *testing.T) {
-	build := func(m, n int64) []Stmt {
-		j := &Loop{Index: "j", Lo: IC(0), Hi: IC(n), Body: []Stmt{
+	build := func(m, n int64, dyn bool) []Stmt {
+		var hi Expr = IC(n)
+		if dyn {
+			hi = V("n")
+		}
+		j := &Loop{Index: "j", Lo: IC(0), Hi: hi, Body: []Stmt{
 			&AssignStmt{Ld("out", B("+", B("*", V("i"), IC(n)), V("j"))),
 				B("*", B("+", V("i"), IC(1)), B("+", V("j"), IC(2)))},
 		}}
 		return []Stmt{&Loop{Index: "i", Lo: IC(0), Hi: IC(m), Body: []Stmt{j}}}
 	}
-	const m, n = 7, 8
-	ref := NewEnv()
-	ref.Arrays["out"] = make([]float64, m*n)
-	if err := ref.Exec(build(m, n)); err != nil {
-		t.Fatal(err)
+	run := func(nest []Stmt, m, n int64) []float64 {
+		env := NewEnv()
+		env.Vars["n"] = IV(n)
+		env.Arrays["out"] = make([]float64, m*n)
+		if err := env.Exec(nest); err != nil {
+			t.Fatal(err)
+		}
+		return env.Arrays["out"]
 	}
-	nest, err := Tile(build(m, n), "i", 4, "j", 4)
-	if err != nil {
-		t.Fatalf("tile with an outer remainder: %v", err)
-	}
-	env := NewEnv()
-	env.Arrays["out"] = make([]float64, m*n)
-	if err := env.Exec(nest); err != nil {
-		t.Fatal(err)
-	}
-	if !almostSame(ref.Arrays["out"], env.Arrays["out"]) {
-		t.Fatalf("tile with an outer remainder changed results:\n%s", Print(nest))
-	}
-
-	if _, err := Tile(build(8, 7), "i", 4, "j", 4); err == nil ||
-		!strings.Contains(err.Error(), "perfect loop nest") {
-		t.Errorf("tile with an inner remainder: err = %v, want a perfect-nest error", err)
+	for _, c := range [][2]int64{{7, 8}, {8, 7}, {7, 7}, {9, 13}, {3, 2}, {0, 5}, {8, 8}} {
+		m, n := c[0], c[1]
+		for _, dyn := range []bool{false, true} {
+			ref := run(build(m, n, dyn), m, n)
+			nest, err := Tile(build(m, n, dyn), "i", 4, "j", 4)
+			if err != nil {
+				t.Fatalf("tile %dx%d (run-time bound %v): %v", m, n, dyn, err)
+			}
+			if got := run(nest, m, n); !almostSame(ref, got) {
+				t.Fatalf("tile %dx%d (run-time bound %v) changed results:\n%s", m, n, dyn, Print(nest))
+			}
+		}
 	}
 }

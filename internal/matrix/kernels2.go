@@ -1,30 +1,19 @@
-// The second kernel wave (ROADMAP item 2): cache-blocked transpose,
-// 2-D convolution/stencil with constant (zero) boundary, axis
-// reductions with stride-1 inner loops, and the blocked-recursive
-// matmul split used above the size cutoff. All follow the kernels.go
-// contract — validate before allocating, newKernelOut for outputs,
-// runKernel for pool distribution with cooperative cancellation, boxed
-// reference oracles in ops.go pinned by differential tests.
+// The cache-blocked transpose tiles behind the flat engine's m[j,i]
+// pattern, and the blocked-recursive matmul split used above the size
+// cutoff. Both run on the kernels.go contract through their callers
+// (GenArrayFlat and MatMulExec).
 package matrix
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "sync/atomic"
 
-// Process-wide per-kernel-family counters, surfaced on driver /metrics
-// as kernel_transpose_total / kernel_conv_total / kernel_reduce_total.
-var (
-	kernelTransposeCount atomic.Int64
-	kernelConvCount      atomic.Int64
-	kernelReduceCount    atomic.Int64
-)
+// kernelTransposeCount counts with-loops run through the transpose
+// tiles; surfaced on driver /metrics as kernel_transpose_total.
+var kernelTransposeCount atomic.Int64
 
-// KernelOpStats returns the per-family kernel invocation counters:
-// transposes (including with-loops compiled to the transpose kernel),
-// 2-D convolutions, and axis reductions.
-func KernelOpStats() (transpose, conv, reduce int64) {
-	return kernelTransposeCount.Load(), kernelConvCount.Load(), kernelReduceCount.Load()
+// KernelOpStats returns how many with-loops ran as a cache-blocked
+// transpose.
+func KernelOpStats() (transpose int64) {
+	return kernelTransposeCount.Load()
 }
 
 // transposeBlock is the tile edge of the transpose kernels: a
@@ -32,53 +21,9 @@ func KernelOpStats() (transpose, conv, reduce int64) {
 // cache-resident while it is read row-wise and written column-wise.
 const transposeBlock = 32
 
-// TransposeExec returns the transpose of a rank-2 matrix through a
-// cache-blocked kernel: the iteration space is cut into
-// transposeBlock² tiles so both the row-major reads and the
-// column-major writes stay within a cache-resident tile, and row
-// bands are distributed over the pool.
-func TransposeExec(m *Matrix, x Exec) (*Matrix, error) {
-	if m.Rank() != 2 {
-		return nil, fmt.Errorf("matrix: transpose requires a rank-2 matrix, got rank %d", m.Rank())
-	}
-	rows, cols := m.shape[0], m.shape[1]
-	out, err := newKernelOut(x.Budget, m.elem, []int{cols, rows})
-	if err != nil {
-		return nil, err
-	}
-	kernelTransposeCount.Add(1)
-	if out.Size() == 0 {
-		return out, nil
-	}
-	// Rows per parallel chunk, in whole tiles so chunks never share an
-	// output cache line along the tile boundary.
-	grainRows := 1
-	if cols > 0 {
-		grainRows = (ParallelGrain + cols - 1) / cols
-	}
-	grainRows = (grainRows + transposeBlock - 1) / transposeBlock * transposeBlock
-	var body func(lo, hi int) error
-	switch m.elem {
-	case Float:
-		src, dst := m.f, out.f
-		body = func(lo, hi int) error { transposeTiles(dst, src, lo, hi, rows, cols); return nil }
-	case Int:
-		src, dst := m.i, out.i
-		body = func(lo, hi int) error { transposeTiles(dst, src, lo, hi, rows, cols); return nil }
-	default:
-		src, dst := m.b, out.b
-		body = func(lo, hi int) error { transposeTiles(dst, src, lo, hi, rows, cols); return nil }
-	}
-	if err := runKernel(x, rows, grainRows, body); err != nil {
-		out.Recycle()
-		return nil, err
-	}
-	return out, nil
-}
-
 // transposeTiles writes dst[j*rows+i] = src[i*cols+j] for the row band
 // [rlo, rhi), tile by tile.
-func transposeTiles[T int64 | float64 | bool](dst, src []T, rlo, rhi, rows, cols int) {
+func transposeTiles[T int64 | float64](dst, src []T, rlo, rhi, rows, cols int) {
 	for i0 := rlo; i0 < rhi; i0 += transposeBlock {
 		i1 := i0 + transposeBlock
 		if i1 > rhi {
@@ -93,279 +38,6 @@ func transposeTiles[T int64 | float64 | bool](dst, src []T, rlo, rhi, rows, cols
 				srow := src[i*cols+j0 : i*cols+j1]
 				for jx, v := range srow {
 					dst[(j0+jx)*rows+i] = v
-				}
-			}
-		}
-	}
-}
-
-// Conv2DExec computes the 2-D cross-correlation of src with an
-// odd-dimension kernel, same-size output, constant (zero) boundary:
-// out[i,j] = Σ_{u,v} src[i+u-kh/2, j+v-kw/2] * kern[u,v], with
-// out-of-range source cells contributing zero. Int×Int stays exact in
-// int64; any Float operand promotes the int side once and runs the
-// float kernel. Rows of the interior run an unchecked inner loop; the
-// boundary rows and columns take the checked path.
-func Conv2DExec(src, kern *Matrix, x Exec) (*Matrix, error) {
-	if src.Rank() != 2 || kern.Rank() != 2 {
-		return nil, fmt.Errorf("matrix: conv2d requires rank-2 matrices, got ranks %d and %d", src.Rank(), kern.Rank())
-	}
-	if src.elem == Bool || kern.elem == Bool {
-		return nil, fmt.Errorf("matrix: conv2d requires numeric matrices")
-	}
-	kh, kw := kern.shape[0], kern.shape[1]
-	if kh%2 == 0 || kw%2 == 0 {
-		return nil, fmt.Errorf("matrix: conv2d kernel dimensions must be odd, got %v", kern.shape)
-	}
-	rows, cols := src.shape[0], src.shape[1]
-	// Fused multiply-adds per output row; sizes the parallel chunks.
-	rowWork := cols * kh * kw
-	grainRows := 1
-	if rowWork > 0 {
-		grainRows = (ParallelGrain + rowWork - 1) / rowWork
-	}
-	if src.elem == Int && kern.elem == Int {
-		out, err := newKernelOut(x.Budget, Int, []int{rows, cols})
-		if err != nil {
-			return nil, err
-		}
-		kernelConvCount.Add(1)
-		si, ki, di := src.i, kern.i, out.i
-		err = runKernel(x, rows, grainRows, func(rlo, rhi int) error {
-			convRows(di, si, ki, rlo, rhi, rows, cols, kh, kw)
-			return nil
-		})
-		if err != nil {
-			out.Recycle()
-			return nil, err
-		}
-		return out, nil
-	}
-	sv, sScr, err := floatScratch(x, src)
-	if err != nil {
-		return nil, err
-	}
-	kv, kScr, err := floatScratch(x, kern)
-	if err != nil {
-		releaseFloatScratch(sv, sScr)
-		return nil, err
-	}
-	out, err := newKernelOut(x.Budget, Float, []int{rows, cols})
-	if err != nil {
-		releaseFloatScratch(sv, sScr)
-		releaseFloatScratch(kv, kScr)
-		return nil, err
-	}
-	kernelConvCount.Add(1)
-	df := out.f
-	err = runKernel(x, rows, grainRows, func(rlo, rhi int) error {
-		convRows(df, sv, kv, rlo, rhi, rows, cols, kh, kw)
-		return nil
-	})
-	releaseFloatScratch(sv, sScr)
-	releaseFloatScratch(kv, kScr)
-	if err != nil {
-		out.Recycle()
-		return nil, err
-	}
-	return out, nil
-}
-
-// convRows fills output rows [rlo, rhi). The kernel taps accumulate in
-// (u, v) order — the same order as Conv2DRef — so float results are
-// bit-identical to the oracle. Interior columns of in-range source
-// rows run without per-tap bounds checks.
-func convRows[T int64 | float64](dst, src, kern []T, rlo, rhi, rows, cols, kh, kw int) {
-	cy, cx := kh/2, kw/2
-	for i := rlo; i < rhi; i++ {
-		row := dst[i*cols : (i+1)*cols]
-		// Columns [jin0, jin1) have every horizontal tap in range.
-		jin0, jin1 := cx, cols-(kw-1-cx)
-		if jin0 > jin1 {
-			jin0, jin1 = 0, 0
-		}
-		for j := 0; j < cols; j++ {
-			var acc T
-			if j >= jin0 && j < jin1 {
-				for u := 0; u < kh; u++ {
-					si := i + u - cy
-					if si < 0 || si >= rows {
-						continue
-					}
-					srow := src[si*cols+j-cx : si*cols+j-cx+kw]
-					krow := kern[u*kw : (u+1)*kw]
-					for v, kval := range krow {
-						acc += srow[v] * kval
-					}
-				}
-			} else {
-				for u := 0; u < kh; u++ {
-					si := i + u - cy
-					if si < 0 || si >= rows {
-						continue
-					}
-					for v := 0; v < kw; v++ {
-						sj := j + v - cx
-						if sj < 0 || sj >= cols {
-							continue
-						}
-						acc += src[si*cols+sj] * kern[u*kw+v]
-					}
-				}
-			}
-			row[j] = acc
-		}
-	}
-}
-
-// ReduceAxisExec reduces m along one axis with a fold operator, producing
-// a matrix of m's shape with that axis removed. The loop order keeps
-// the inner stride 1 in both layouts: a last-axis reduction
-// accumulates over contiguous runs, any other axis combines contiguous
-// inner blocks into the output slice. Sum and product of an empty axis
-// yield the identity; min and max of an empty axis are an error.
-func ReduceAxisExec(kind FoldKind, m *Matrix, axis int, x Exec) (*Matrix, error) {
-	if m.elem == Bool {
-		return nil, fmt.Errorf("matrix: reduce requires a numeric matrix")
-	}
-	if axis < 0 || axis >= m.Rank() {
-		return nil, fmt.Errorf("matrix: reduce axis %d out of range for rank %d", axis, m.Rank())
-	}
-	axisN := m.shape[axis]
-	if axisN == 0 && (kind == FoldMin || kind == FoldMax) {
-		return nil, fmt.Errorf("matrix: reduce %s along an empty dimension", kind)
-	}
-	outShape := make([]int, 0, m.Rank()-1)
-	outer, inner := 1, 1
-	for d, n := range m.shape {
-		switch {
-		case d < axis:
-			outer *= n
-			outShape = append(outShape, n)
-		case d > axis:
-			inner *= n
-			outShape = append(outShape, n)
-		}
-	}
-	out, err := newKernelOut(x.Budget, m.elem, outShape)
-	if err != nil {
-		return nil, err
-	}
-	kernelReduceCount.Add(1)
-	if out.Size() == 0 {
-		return out, nil
-	}
-	blockWork := axisN * inner
-	grainOuter := 1
-	if blockWork > 0 {
-		grainOuter = (ParallelGrain + blockWork - 1) / blockWork
-	}
-	var body func(olo, ohi int) error
-	if m.elem == Int {
-		src, dst := m.i, out.i
-		body = func(olo, ohi int) error {
-			reduceBlocks(kind, dst, src, olo, ohi, axisN, inner, reduceIdentInt(kind))
-			return nil
-		}
-	} else {
-		src, dst := m.f, out.f
-		body = func(olo, ohi int) error {
-			reduceBlocks(kind, dst, src, olo, ohi, axisN, inner, reduceIdentFloat(kind))
-			return nil
-		}
-	}
-	if err := runKernel(x, outer, grainOuter, body); err != nil {
-		out.Recycle()
-		return nil, err
-	}
-	return out, nil
-}
-
-// reduceIdentInt / reduceIdentFloat are the empty-axis results for the
-// total fold operators (min/max of an empty axis were rejected before
-// allocation).
-func reduceIdentInt(kind FoldKind) int64 {
-	if kind == FoldMul {
-		return 1
-	}
-	return 0
-}
-
-func reduceIdentFloat(kind FoldKind) float64 {
-	if kind == FoldMul {
-		return 1
-	}
-	return 0
-}
-
-// reduceBlocks reduces outer blocks [olo, ohi): block o covers source
-// cells [o*axisN*inner, (o+1)*axisN*inner) and output cells
-// [o*inner, (o+1)*inner). Axis elements combine in ascending order —
-// the same order as ReduceAxisRef — so float sums are bit-identical to
-// the oracle.
-func reduceBlocks[T int64 | float64](kind FoldKind, dst, src []T, olo, ohi, axisN, inner int, ident T) {
-	for o := olo; o < ohi; o++ {
-		d := dst[o*inner : (o+1)*inner]
-		if axisN == 0 {
-			for j := range d {
-				d[j] = ident
-			}
-			continue
-		}
-		base := o * axisN * inner
-		if inner == 1 {
-			// Last-axis reduction: one contiguous run per output cell.
-			run := src[base : base+axisN]
-			acc := run[0]
-			switch kind {
-			case FoldAdd:
-				for _, v := range run[1:] {
-					acc += v
-				}
-			case FoldMul:
-				for _, v := range run[1:] {
-					acc *= v
-				}
-			case FoldMin:
-				for _, v := range run[1:] {
-					if !(acc < v) {
-						acc = v
-					}
-				}
-			default:
-				for _, v := range run[1:] {
-					if acc < v {
-						acc = v
-					}
-				}
-			}
-			d[0] = acc
-			continue
-		}
-		// Interior axis: combine contiguous inner blocks into d.
-		copy(d, src[base:base+inner])
-		for a := 1; a < axisN; a++ {
-			s := src[base+a*inner : base+(a+1)*inner]
-			switch kind {
-			case FoldAdd:
-				for j, v := range s {
-					d[j] += v
-				}
-			case FoldMul:
-				for j, v := range s {
-					d[j] *= v
-				}
-			case FoldMin:
-				for j, v := range s {
-					if !(d[j] < v) {
-						d[j] = v
-					}
-				}
-			default:
-				for j, v := range s {
-					if d[j] < v {
-						d[j] = v
-					}
 				}
 			}
 		}

@@ -1,142 +1,99 @@
-// Differential tests for the breadth kernels (kernels2.go) against
-// their retained boxed reference paths, plus kernel-specific behavior:
-// per-kernel counters, validate-before-allocate, cancellation, the
-// recursive matmul crossover, and the typed fold accumulator's
-// allocation profile.
+// Differential tests for the kernels of kernels2.go: the transpose
+// tiles behind the flat engine's m[j,i] pattern (against the closure
+// engine) and the recursive matmul crossover (against the boxed
+// reference), plus the typed fold accumulator's allocation profile.
 package matrix
 
 import (
 	"context"
+	"errors"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/par"
 )
 
-var foldKinds = []FoldKind{FoldAdd, FoldMul, FoldMin, FoldMax}
+// transposeEnv binds the flat body of m[j,i] over a rank-2 generator —
+// the with-loop the flat engine runs on the transpose tiles — to m.
+func transposeEnv(m *Matrix) *WithEnv {
+	load := WLoadI
+	if m.elem == Float {
+		load = WLoadF
+	}
+	code := []WithInstr{{Op: WPushID, A: 1}, {Op: WPushID, A: 0}, {Op: load, B: 2}}
+	return &WithEnv{Code: code, Mats: []*Matrix{m}, Float: m.elem == Float}
+}
 
+// diffFlatTranspose runs m[j,i] over m's transposed shape on the flat
+// engine and on the closure engine under x, and compares the results.
+func diffFlatTranspose(t *testing.T, label string, m *Matrix, x Exec) {
+	t.Helper()
+	rows, cols := m.shape[0], m.shape[1]
+	lower, upper := []int{0, 0}, []int{cols, rows}
+	closure := func(idx []int) (any, error) { return m.Get(idx[1]*cols + idx[0]), nil }
+	want, werr := GenArrayExec(m.elem, lower, upper, upper, closure, x)
+	got, handled, gerr := GenArrayFlat(m.elem, lower, upper, upper, transposeEnv(m), x)
+	if !handled {
+		t.Fatalf("%s: flat engine declined", label)
+	}
+	checkKernelDiff(t, label, got, gerr, want, werr, m.Size(), 0)
+}
+
+// TestKernelDiffTranspose pins the transpose tiles at tile-boundary
+// shapes: the flat engine's m[j,i] must equal the closure engine
+// evaluating the same body cell by cell, serially and pooled, and must
+// have run on the tiles (the transpose counter advances).
 func TestKernelDiffTranspose(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	execs := kernelExecs(t)
-	for _, elem := range []Elem{Float, Int, Bool} {
+	for _, elem := range []Elem{Float, Int} {
 		for _, shape := range [][]int{{1, 1}, {1, 7}, {7, 1}, {3, 5}, {33, 65}, {70, 40}} {
 			m := randKernelMat(r, elem, shape...)
-			want, werr := TransposeRef(m)
 			for mode, x := range execs {
-				got, gerr := TransposeExec(m, x)
-				checkKernelDiff(t, mode+" transpose "+m.String(), got, gerr, want, werr, m.Size(), 0)
-			}
-		}
-	}
-	// Rank errors on both paths, and a zero-extent matrix round-trips.
-	for _, bad := range []*Matrix{New(Float, 4), New(Int, 2, 3, 4)} {
-		if _, err := TransposeExec(bad, Exec{}); err == nil {
-			t.Fatalf("rank %d accepted by transpose", bad.Rank())
-		}
-		if _, err := TransposeRef(bad); err == nil {
-			t.Fatalf("rank %d accepted by reference transpose", bad.Rank())
-		}
-	}
-	z, err := TransposeExec(New(Float, 0, 5), Exec{})
-	if err != nil || z.shape[0] != 5 || z.shape[1] != 0 {
-		t.Fatalf("transpose of 0x5: %v %v", z, err)
-	}
-}
-
-func TestKernelDiffConv2D(t *testing.T) {
-	r := rand.New(rand.NewSource(12))
-	execs := kernelExecs(t)
-	kernels := [][]int{{1, 1}, {3, 3}, {1, 5}, {5, 1}, {3, 5}}
-	for _, elem := range []Elem{Float, Int} {
-		for _, shape := range [][]int{{1, 1}, {4, 4}, {9, 17}, {20, 6}} {
-			src := randKernelMat(r, elem, shape...)
-			for _, ks := range kernels {
-				kern := randKernelMat(r, elem, ks...)
-				want, werr := Conv2DRef(src, kern)
-				for mode, x := range execs {
-					got, gerr := Conv2DExec(src, kern, x)
-					label := mode + " conv " + src.String() + " * " + kern.String()
-					checkKernelDiff(t, label, got, gerr, want, werr, src.Size(), 0)
+				label := mode + " flat transpose " + m.String()
+				before := KernelOpStats()
+				diffFlatTranspose(t, label, m, x)
+				if KernelOpStats() == before {
+					t.Fatalf("%s: transpose counter did not advance", label)
 				}
 			}
 		}
 	}
-	// Mixed int/float operands promote identically on both paths.
-	src := randKernelMat(r, Int, 6, 6)
-	kern := randKernelMat(r, Float, 3, 3)
-	want, werr := Conv2DRef(src, kern)
-	got, gerr := Conv2DExec(src, kern, Exec{})
-	checkKernelDiff(t, "conv int*float", got, gerr, want, werr, src.Size(), 0)
 }
 
-func TestConv2DErrors(t *testing.T) {
-	f33 := New(Float, 3, 3)
-	for _, tc := range []struct {
-		name      string
-		src, kern *Matrix
-		want      string
-	}{
-		{"rank", New(Float, 4), f33, "conv2d requires rank-2 matrices, got ranks 1 and 2"},
-		{"bool", New(Bool, 3, 3), f33, "conv2d requires numeric matrices"},
-		{"even_kernel", f33, New(Float, 2, 3), "kernel dimensions must be odd"},
-	} {
-		_, err := Conv2DExec(tc.src, tc.kern, Exec{})
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
-		}
-		_, rerr := Conv2DRef(tc.src, tc.kern)
-		if rerr == nil || rerr.Error() != err.Error() {
-			t.Errorf("%s: reference err = %v, kernel err = %v", tc.name, rerr, err)
-		}
+// TestKernelOpCounters: the transpose counter moves once per with-loop
+// run on the tiles, and not for a flat body that is not m[j,i].
+func TestKernelOpCounters(t *testing.T) {
+	m := New(Float, 4, 6)
+	full := []int{6, 4}
+	before := KernelOpStats()
+	if _, _, err := GenArrayFlat(Float, []int{0, 0}, full, full, transposeEnv(m), Exec{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := KernelOpStats() - before; got != 1 {
+		t.Fatalf("transpose counter advanced by %d, want 1", got)
+	}
+	before = KernelOpStats()
+	copyBody := []WithInstr{{Op: WPushID, A: 0}, {Op: WPushID, A: 1}, {Op: WLoadF, B: 2}}
+	env := &WithEnv{Code: copyBody, Mats: []*Matrix{m}, Float: true}
+	if _, _, err := GenArrayFlat(Float, []int{0, 0}, []int{4, 6}, []int{4, 6}, env, Exec{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := KernelOpStats() - before; got != 0 {
+		t.Fatalf("m[i,j] copy advanced the transpose counter by %d", got)
 	}
 }
 
-func TestKernelDiffReduceAxis(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	execs := kernelExecs(t)
-	for _, elem := range []Elem{Float, Int} {
-		for _, shape := range [][]int{{5}, {4, 7}, {3, 4, 5}, {65, 3}, {2, 130}} {
-			m := randKernelMat(r, elem, shape...)
-			for axis := 0; axis < len(shape); axis++ {
-				for _, kind := range foldKinds {
-					want, werr := ReduceAxisRef(kind, m, axis)
-					for mode, x := range execs {
-						got, gerr := ReduceAxisExec(kind, m, axis, x)
-						label := mode + " reduce " + m.String()
-						checkKernelDiff(t, label, got, gerr, want, werr, m.Size(), 0)
-					}
-				}
-			}
-		}
-	}
-	// Errors: bool input, axis out of range, min/max over an empty axis
-	// — same text on both paths.
-	for _, tc := range []struct {
-		name string
-		kind FoldKind
-		m    *Matrix
-		axis int
-	}{
-		{"bool", FoldAdd, New(Bool, 3), 0},
-		{"axis_range", FoldAdd, New(Int, 3, 4), 2},
-		{"empty_min", FoldMin, New(Float, 0, 4), 0},
-		{"empty_max", FoldMax, New(Int, 4, 0), 1},
-	} {
-		_, gerr := ReduceAxisExec(tc.kind, tc.m, tc.axis, Exec{})
-		_, werr := ReduceAxisRef(tc.kind, tc.m, tc.axis)
-		if gerr == nil || werr == nil || gerr.Error() != werr.Error() {
-			t.Errorf("%s: kernel err %v, reference err %v", tc.name, gerr, werr)
-		}
-	}
-	// Sum/prod over an empty axis yield identities.
-	sum, err := ReduceAxisExec(FoldAdd, New(Int, 0, 3), 0, Exec{})
-	if err != nil || sum.i[0] != 0 || sum.i[1] != 0 || sum.i[2] != 0 {
-		t.Fatalf("empty-axis sum: %v %v", sum, err)
-	}
-	prod, err := ReduceAxisExec(FoldMul, New(Float, 2, 0), 1, Exec{})
-	if err != nil || prod.f[0] != 1 || prod.f[1] != 1 {
-		t.Fatalf("empty-axis prod: %v %v", prod, err)
+// TestKernels2Cancellation: a cancelled context aborts the pooled
+// transpose tiles.
+func TestKernels2Cancellation(t *testing.T) {
+	pool := par.NewPool(2)
+	defer pool.Shutdown()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	full := []int{64, 64}
+	if _, _, err := GenArrayFlat(Float, []int{0, 0}, full, full, transposeEnv(New(Float, 64, 64)), Exec{Pool: pool, Ctx: ctx}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled flat transpose: err = %v, want context.Canceled", err)
 	}
 }
 
@@ -171,65 +128,6 @@ func TestKernelDiffRecursiveMatMul(t *testing.T) {
 		want, werr = MatMulRef(small1, small2)
 		got, gerr := MatMulExec(small1, small2, Exec{})
 		checkKernelDiff(t, "small matmul", got, gerr, want, werr, small1.Size(), 1e-12)
-	}
-}
-
-func TestKernelOpCounters(t *testing.T) {
-	t0, c0, r0 := KernelOpStats()
-	if _, err := TransposeExec(New(Float, 4, 4), Exec{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Conv2DExec(New(Float, 4, 4), New(Float, 3, 3), Exec{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReduceAxisExec(FoldAdd, New(Int, 4, 4), 0, Exec{}); err != nil {
-		t.Fatal(err)
-	}
-	t1, c1, r1 := KernelOpStats()
-	if t1-t0 < 1 || c1-c0 < 1 || r1-r0 < 1 {
-		t.Fatalf("counters did not advance: transpose %d conv %d reduce %d", t1-t0, c1-c0, r1-r0)
-	}
-}
-
-// TestKernels2ValidateBeforeAllocate: invalid inputs must error before
-// charging the budget or firing the alloc hook.
-func TestKernels2ValidateBeforeAllocate(t *testing.T) {
-	rank1 := New(Float, 4)
-	src := New(Float, 3, 3)
-	evenKern := New(Float, 2, 2)
-	emptyAxis := New(Float, 0, 3)
-	calls := 0
-	TestHookAllocFail = func(cells int) error { calls++; return nil }
-	defer func() { TestHookAllocFail = nil }()
-	if _, err := TransposeExec(rank1, Exec{}); err == nil {
-		t.Fatal("rank-1 transpose accepted")
-	}
-	if _, err := Conv2DExec(src, evenKern, Exec{}); err == nil {
-		t.Fatal("even conv kernel accepted")
-	}
-	if _, err := ReduceAxisExec(FoldMin, emptyAxis, 0, Exec{}); err == nil {
-		t.Fatal("empty min axis accepted")
-	}
-	if calls != 0 {
-		t.Fatalf("alloc hook fired %d times before validation errors", calls)
-	}
-}
-
-func TestKernels2Cancellation(t *testing.T) {
-	pool := par.NewPool(2)
-	defer pool.Shutdown()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	x := Exec{Pool: pool, Ctx: ctx}
-	m := New(Float, 64, 64)
-	if _, err := TransposeExec(m, x); err == nil {
-		t.Error("cancelled transpose succeeded")
-	}
-	if _, err := Conv2DExec(m, New(Float, 3, 3), x); err == nil {
-		t.Error("cancelled conv succeeded")
-	}
-	if _, err := ReduceAxisExec(FoldAdd, m, 0, x); err == nil {
-		t.Error("cancelled reduce succeeded")
 	}
 }
 

@@ -49,18 +49,13 @@ func (x Exec) cancelled() error {
 // The idx slice must not be retained.
 type BodyFunc func(idx []int) (any, error)
 
-// GenArray implements
+// GenArrayExec implements
 //
 //	with ([lower] <= [ids] < [upper]) genarray([shape], body)
 //
-// on a bare pool with no budget or deadline; see GenArrayExec.
-func GenArray(elem Elem, lower, upper, shape []int, body BodyFunc, pool *par.Pool) (*Matrix, error) {
-	return GenArrayExec(elem, lower, upper, shape, body, Exec{Pool: pool})
-}
-
-// GenArrayExec produces a matrix of the given element type and shape
-// whose cells inside the generator box hold body(idx) and 0 elsewhere.
-// As §III-A.4 requires, the shape must be a superset of the generator
+// producing a matrix of the given element type and shape whose cells
+// inside the generator box hold body(idx) and 0 elsewhere. As
+// §III-A.4 requires, the shape must be a superset of the generator
 // box — a runtime check. The output allocation is charged against
 // x.Budget before any storage is made.
 func GenArrayExec(elem Elem, lower, upper, shape []int, body BodyFunc, x Exec) (*Matrix, error) {
@@ -293,17 +288,12 @@ func foldCombine(kind FoldKind, a, b any) (any, error) {
 	return nil, fmt.Errorf("matrix: unknown fold kind %d", kind)
 }
 
-// Fold implements
+// FoldExec implements
 //
 //	with ([lower] <= [ids] < [upper]) fold(op, base, body)
 //
-// on a bare pool with no budget or deadline; see FoldExec.
-func Fold(kind FoldKind, base any, lower, upper []int, body BodyFunc, pool *par.Pool) (any, error) {
-	return FoldExec(kind, base, lower, upper, body, Exec{Pool: pool})
-}
-
-// FoldExec reduces body over the generator box with the associative
-// operator, starting from base. When a pool is supplied the outermost
+// reducing body over the generator box with the associative operator,
+// starting from base. When a pool is supplied the outermost
 // dimension is folded in per-worker partials combined after the stop
 // barrier — valid because the fold operators are associative and
 // commutative. The first row error aborts the other workers' remaining
@@ -466,12 +456,6 @@ func foldIdentity(kind FoldKind, base any) (any, error) {
 // MapFunc applies a user function to one sub-matrix in matrixMap.
 type MapFunc func(sub *Matrix) (*Matrix, error)
 
-// MatrixMap implements matrixMap(f, m, dims) on a bare pool with no
-// budget or deadline; see MatrixMapExec.
-func MatrixMap(m *Matrix, dims []int, outElem Elem, f MapFunc, pool *par.Pool) (*Matrix, error) {
-	return MatrixMapExec(m, dims, outElem, f, Exec{Pool: pool})
-}
-
 // MatrixMapExec implements matrixMap(f, m, dims) (§III-A.5): f is
 // applied to the sub-matrix spanned by dims at every combination of
 // the remaining dimensions, which are iterated — in parallel on the
@@ -562,11 +546,6 @@ func MatrixMapExec(m *Matrix, dims []int, outElem Elem, f MapFunc, x Exec) (*Mat
 		return nil, err
 	}
 	return out, nil
-}
-
-// MatrixMapG is MatrixMapGExec on a bare pool; see MatrixMapGExec.
-func MatrixMapG(m *Matrix, dims []int, outElem Elem, f MapFunc, pool *par.Pool) (*Matrix, error) {
-	return MatrixMapGExec(m, dims, outElem, f, Exec{Pool: pool})
 }
 
 // MatrixMapGExec is the generalized matrixMap the paper describes as

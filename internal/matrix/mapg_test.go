@@ -16,7 +16,7 @@ func TestMatrixMapGShrink(t *testing.T) {
 		}
 		return out.(*Matrix), nil
 	}
-	got, err := MatrixMapG(m, []int{1}, Float, half, nil)
+	got, err := MatrixMapGExec(m, []int{1}, Float, half, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestMatrixMapGGrow(t *testing.T) {
 		}
 		return out, nil
 	}
-	got, err := MatrixMapG(m, []int{1}, Float, double, nil)
+	got, err := MatrixMapGExec(m, []int{1}, Float, double, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,13 +58,13 @@ func TestMatrixMapGParallelMatchesSequential(t *testing.T) {
 		}
 		return out.(*Matrix), nil
 	}
-	seq, err := MatrixMapG(m, []int{2}, Float, half, nil)
+	seq, err := MatrixMapGExec(m, []int{2}, Float, half, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pool := par.NewPool(4)
 	defer pool.Shutdown()
-	parl, err := MatrixMapG(m, []int{2}, Float, half, pool)
+	parl, err := MatrixMapGExec(m, []int{2}, Float, half, Exec{Pool: pool})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestMatrixMapGInconsistent(t *testing.T) {
 		}
 		return out.(*Matrix), nil
 	}
-	if _, err := MatrixMapG(m, []int{1}, Float, varying, nil); err == nil {
+	if _, err := MatrixMapGExec(m, []int{1}, Float, varying, Exec{}); err == nil {
 		t.Fatal("inconsistent result sizes must error")
 	}
 }
@@ -92,28 +92,28 @@ func TestMatrixMapGInconsistent(t *testing.T) {
 func TestMatrixMapGErrors(t *testing.T) {
 	m := seqFloat(3, 4)
 	id := func(sub *Matrix) (*Matrix, error) { return sub, nil }
-	if _, err := MatrixMapG(m, []int{0, 1}, Float, id, nil); err == nil {
+	if _, err := MatrixMapGExec(m, []int{0, 1}, Float, id, Exec{}); err == nil {
 		t.Error("mapping all dims should error")
 	}
-	if _, err := MatrixMapG(m, nil, Float, id, nil); err == nil {
+	if _, err := MatrixMapGExec(m, nil, Float, id, Exec{}); err == nil {
 		t.Error("no dims should error")
 	}
-	if _, err := MatrixMapG(m, []int{7}, Float, id, nil); err == nil {
+	if _, err := MatrixMapGExec(m, []int{7}, Float, id, Exec{}); err == nil {
 		t.Error("bad dim should error")
 	}
-	if _, err := MatrixMapG(m, []int{1, 1}, Float, id, nil); err == nil {
+	if _, err := MatrixMapGExec(m, []int{1, 1}, Float, id, Exec{}); err == nil {
 		t.Error("duplicate dim should error")
 	}
 	bad := func(sub *Matrix) (*Matrix, error) { return New(Float, 2, 2), nil }
-	if _, err := MatrixMapG(m, []int{1}, Float, bad, nil); err == nil {
+	if _, err := MatrixMapGExec(m, []int{1}, Float, bad, Exec{}); err == nil {
 		t.Error("wrong-rank result should error")
 	}
 	wrongElem := func(sub *Matrix) (*Matrix, error) { return New(Int, 4), nil }
-	if _, err := MatrixMapG(m, []int{1}, Float, wrongElem, nil); err == nil {
+	if _, err := MatrixMapGExec(m, []int{1}, Float, wrongElem, Exec{}); err == nil {
 		t.Error("wrong-elem result should error")
 	}
 	failing := func(sub *Matrix) (*Matrix, error) { return nil, fmt.Errorf("boom") }
-	if _, err := MatrixMapG(m, []int{1}, Float, failing, nil); err == nil {
+	if _, err := MatrixMapGExec(m, []int{1}, Float, failing, Exec{}); err == nil {
 		t.Error("f's error should propagate")
 	}
 }
@@ -122,13 +122,13 @@ func TestFoldMulIdentityAndFloat(t *testing.T) {
 	// exercise the float multiplicative identity path
 	pool := par.NewPool(3)
 	defer pool.Shutdown()
-	prod, err := Fold(FoldMul, 1.0, []int{0}, []int{6},
-		func(idx []int) (any, error) { return 1.0 + float64(idx[0])*0.0, nil }, pool)
+	prod, err := FoldExec(FoldMul, 1.0, []int{0}, []int{6},
+		func(idx []int) (any, error) { return 1.0 + float64(idx[0])*0.0, nil }, Exec{Pool: pool})
 	if err != nil || prod.(float64) != 1.0 {
 		t.Fatalf("prod = %v (%v)", prod, err)
 	}
-	mn, err := Fold(FoldMin, 100.0, []int{0}, []int{8},
-		func(idx []int) (any, error) { return float64(10 - idx[0]), nil }, pool)
+	mn, err := FoldExec(FoldMin, 100.0, []int{0}, []int{8},
+		func(idx []int) (any, error) { return float64(10 - idx[0]), nil }, Exec{Pool: pool})
 	if err != nil || mn.(float64) != 3.0 {
 		t.Fatalf("min = %v (%v)", mn, err)
 	}

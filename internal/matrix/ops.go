@@ -10,7 +10,7 @@ import "fmt"
 // Op is a runtime binary operator.
 type Op int
 
-// Runtime operators (Mul here is elementwise; use MatMul for the
+// Runtime operators (Mul here is elementwise; use MatMulExec for the
 // linear-algebra product).
 const (
 	OpAdd Op = iota
@@ -172,61 +172,16 @@ func resultElem(op Op, a, b Elem) Elem {
 	return Int
 }
 
-// Elementwise applies op pointwise over two matrices of equal shape.
-// It runs the specialized kernels of kernels.go serially; callers with
-// a worker pool use ElementwiseExec directly.
-func Elementwise(op Op, a, b *Matrix) (*Matrix, error) {
-	return ElementwiseExec(op, a, b, Exec{})
-}
-
-// Broadcast applies op between a matrix and a scalar; matLeft selects
-// which side the matrix is on (m op s vs s op m). It runs the
-// specialized kernels serially; callers with a pool use BroadcastExec.
-func Broadcast(op Op, m *Matrix, s any, matLeft bool) (*Matrix, error) {
-	return BroadcastExec(op, m, s, matLeft, Exec{})
-}
-
-// MatMul computes the linear-algebra product of two rank-2 matrices.
-// It runs the blocked kernel serially; callers with a pool use
-// MatMulExec.
-func MatMul(a, b *Matrix) (*Matrix, error) {
-	return MatMulExec(a, b, Exec{})
-}
-
-// Unary applies negation or logical not elementwise, serially; callers
-// with a pool use UnaryExec.
-func Unary(neg bool, m *Matrix) (*Matrix, error) {
-	return UnaryExec(neg, m, Exec{})
-}
-
-// Transpose returns the transpose of a rank-2 matrix, serially;
-// callers with a pool use TransposeExec.
-func Transpose(m *Matrix) (*Matrix, error) {
-	return TransposeExec(m, Exec{})
-}
-
-// Conv2D computes the same-size constant-boundary 2-D convolution of
-// src with kern, serially; callers with a pool use Conv2DExec.
-func Conv2D(src, kern *Matrix) (*Matrix, error) {
-	return Conv2DExec(src, kern, Exec{})
-}
-
-// ReduceAxis reduces m along one axis, serially; callers with a pool
-// use ReduceAxisExec.
-func ReduceAxis(kind FoldKind, m *Matrix, axis int) (*Matrix, error) {
-	return ReduceAxisExec(kind, m, axis, Exec{})
-}
-
 // --- reference oracles ---
 //
 // The original boxed implementations are retained verbatim below as
 // reference oracles: they define the semantics the specialized kernels
 // must reproduce, and the differential tests (kernels_test.go,
-// FuzzKernelDiff) pin every kernel against them. They are slow by
+// FuzzKernelDiff) pin the operator and matmul kernels against them. They are slow by
 // design — one scalarOp interface round-trip per element — and are not
 // called on any production path.
 
-// ElementwiseRef is the boxed per-element reference for Elementwise.
+// ElementwiseRef is the boxed per-element reference for ElementwiseExec.
 func ElementwiseRef(op Op, a, b *Matrix) (*Matrix, error) {
 	if !a.SameShape(b) {
 		return nil, fmt.Errorf("matrix: %s requires equal shapes, got %v and %v", op, a.shape, b.shape)
@@ -244,7 +199,7 @@ func ElementwiseRef(op Op, a, b *Matrix) (*Matrix, error) {
 	return out, nil
 }
 
-// BroadcastRef is the boxed per-element reference for Broadcast.
+// BroadcastRef is the boxed per-element reference for BroadcastExec.
 func BroadcastRef(op Op, m *Matrix, s any, matLeft bool) (*Matrix, error) {
 	sElem := Float
 	switch s.(type) {
@@ -272,7 +227,7 @@ func BroadcastRef(op Op, m *Matrix, s any, matLeft bool) (*Matrix, error) {
 	return out, nil
 }
 
-// MatMulRef is the naive i-j-k reference for MatMul. Float results may
+// MatMulRef is the naive i-j-k reference for MatMulExec. Float results may
 // differ from the blocked i-k-j kernel in the last bits (different
 // summation order); differential tests compare with a tolerance.
 func MatMulRef(a, b *Matrix) (*Matrix, error) {
@@ -312,7 +267,7 @@ func MatMulRef(a, b *Matrix) (*Matrix, error) {
 	return out, nil
 }
 
-// UnaryRef is the reference for Unary.
+// UnaryRef is the reference for UnaryExec.
 func UnaryRef(neg bool, m *Matrix) (*Matrix, error) {
 	if neg {
 		switch m.elem {
@@ -337,131 +292,6 @@ func UnaryRef(neg bool, m *Matrix) (*Matrix, error) {
 	out := New(Bool, m.shape...)
 	for k, v := range m.b {
 		out.b[k] = !v
-	}
-	return out, nil
-}
-
-// TransposeRef is the boxed per-element reference for Transpose.
-func TransposeRef(m *Matrix) (*Matrix, error) {
-	if m.Rank() != 2 {
-		return nil, fmt.Errorf("matrix: transpose requires a rank-2 matrix, got rank %d", m.Rank())
-	}
-	rows, cols := m.shape[0], m.shape[1]
-	out := New(m.elem, cols, rows)
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			if err := out.Set(j*rows+i, m.Get(i*cols+j)); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return out, nil
-}
-
-// Conv2DRef is the boxed per-element reference for Conv2D: one
-// scalarOp multiply-add per in-range kernel tap, taps in (u, v) order.
-// The specialized kernel accumulates in the same order, so even float
-// results are compared exactly.
-func Conv2DRef(src, kern *Matrix) (*Matrix, error) {
-	if src.Rank() != 2 || kern.Rank() != 2 {
-		return nil, fmt.Errorf("matrix: conv2d requires rank-2 matrices, got ranks %d and %d", src.Rank(), kern.Rank())
-	}
-	if src.elem == Bool || kern.elem == Bool {
-		return nil, fmt.Errorf("matrix: conv2d requires numeric matrices")
-	}
-	kh, kw := kern.shape[0], kern.shape[1]
-	if kh%2 == 0 || kw%2 == 0 {
-		return nil, fmt.Errorf("matrix: conv2d kernel dimensions must be odd, got %v", kern.shape)
-	}
-	oe := Int
-	if src.elem == Float || kern.elem == Float {
-		oe = Float
-	}
-	rows, cols := src.shape[0], src.shape[1]
-	out := New(oe, rows, cols)
-	cy, cx := kh/2, kw/2
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			var acc any
-			if oe == Int {
-				acc = int64(0)
-			} else {
-				acc = float64(0)
-			}
-			for u := 0; u < kh; u++ {
-				for v := 0; v < kw; v++ {
-					si, sj := i+u-cy, j+v-cx
-					if si < 0 || si >= rows || sj < 0 || sj >= cols {
-						continue
-					}
-					p, err := scalarOp(OpMul, src.Get(si*cols+sj), kern.Get(u*kw+v))
-					if err != nil {
-						return nil, err
-					}
-					acc, err = scalarOp(OpAdd, acc, p)
-					if err != nil {
-						return nil, err
-					}
-				}
-			}
-			if err := out.Set(i*cols+j, acc); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return out, nil
-}
-
-// ReduceAxisRef is the boxed per-element reference for ReduceAxis:
-// foldCombine over the axis in ascending order — the same order the
-// specialized kernel uses, so float sums compare exactly.
-func ReduceAxisRef(kind FoldKind, m *Matrix, axis int) (*Matrix, error) {
-	if m.elem == Bool {
-		return nil, fmt.Errorf("matrix: reduce requires a numeric matrix")
-	}
-	if axis < 0 || axis >= m.Rank() {
-		return nil, fmt.Errorf("matrix: reduce axis %d out of range for rank %d", axis, m.Rank())
-	}
-	axisN := m.shape[axis]
-	if axisN == 0 && (kind == FoldMin || kind == FoldMax) {
-		return nil, fmt.Errorf("matrix: reduce %s along an empty dimension", kind)
-	}
-	outShape := make([]int, 0, m.Rank()-1)
-	outer, inner := 1, 1
-	for d, n := range m.shape {
-		switch {
-		case d < axis:
-			outer *= n
-			outShape = append(outShape, n)
-		case d > axis:
-			inner *= n
-			outShape = append(outShape, n)
-		}
-	}
-	out := New(m.elem, outShape...)
-	for o := 0; o < outer; o++ {
-		for j := 0; j < inner; j++ {
-			var acc any
-			if axisN == 0 {
-				if m.elem == Int {
-					acc = reduceIdentInt(kind)
-				} else {
-					acc = reduceIdentFloat(kind)
-				}
-			} else {
-				acc = m.Get(o*axisN*inner + j)
-				for a := 1; a < axisN; a++ {
-					var err error
-					acc, err = foldCombine(kind, acc, m.Get(o*axisN*inner+a*inner+j))
-					if err != nil {
-						return nil, err
-					}
-				}
-			}
-			if err := out.Set(o*inner+j, acc); err != nil {
-				return nil, err
-			}
-		}
 	}
 	return out, nil
 }

@@ -71,20 +71,20 @@ func TestPanicErrorUnwrap(t *testing.T) {
 	}
 }
 
-func TestRunRepanicsPanicError(t *testing.T) {
+func TestParallelForRepanicsPanicError(t *testing.T) {
 	p := NewPool(2)
 	defer p.Shutdown()
 	defer func() {
 		r := recover()
 		if r == nil {
-			t.Fatal("Run did not re-panic")
+			t.Fatal("ParallelFor did not re-panic")
 		}
 		if _, ok := r.(*PanicError); !ok {
 			t.Fatalf("recovered %T, want *PanicError", r)
 		}
 	}()
-	p.Run(func(worker, n int) {
-		if worker == 1 {
+	p.ParallelFor(0, 100, func(i int) {
+		if i == 99 {
 			panic("direct user crash")
 		}
 	})
@@ -130,6 +130,11 @@ func TestParallelForErrAbortSkipsWork(t *testing.T) {
 	}
 	if c := calls.Load(); c > n/2 {
 		t.Errorf("abort skipped too little: %d of %d iterations ran", c, n)
+	}
+	// A clean construct still runs on the same pool afterwards.
+	calls.Store(0)
+	if err := p.ParallelForErr(0, 100, func(i int) error { calls.Add(1); return nil }); err != nil || calls.Load() != 100 {
+		t.Errorf("clean construct after failure: %d iterations, err %v; want 100, nil", calls.Load(), err)
 	}
 }
 
@@ -195,30 +200,6 @@ func TestParallelForSingleElementPanicIsProtected(t *testing.T) {
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("inline path err = %v, want *PanicError", err)
-	}
-}
-
-func TestParallelReduceErr(t *testing.T) {
-	p := NewPool(4)
-	defer p.Shutdown()
-	bad := errors.New("bad element")
-	_, err := p.ParallelReduceErr(0, 1000, 0,
-		func(i int) (float64, error) {
-			if i == 500 {
-				return 0, bad
-			}
-			return float64(i), nil
-		},
-		func(a, b float64) float64 { return a + b })
-	if !errors.Is(err, bad) {
-		t.Fatalf("err = %v, want bad element", err)
-	}
-	// And a clean reduce still works on the same pool afterwards.
-	sum, err := p.ParallelReduceErr(0, 100, 0,
-		func(i int) (float64, error) { return 1, nil },
-		func(a, b float64) float64 { return a + b })
-	if err != nil || sum != 100 {
-		t.Errorf("clean reduce after failure = (%v, %v), want (100, nil)", sum, err)
 	}
 }
 

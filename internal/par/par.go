@@ -184,22 +184,8 @@ func (p *Pool) RunErr(body func(worker, n int) error) error {
 	return err
 }
 
-// Run is RunErr for infallible bodies. A body panic still reaches the
-// stop barrier (the pool stays healthy) and is then re-raised in the
-// caller as a *PanicError, preserving crash semantics for direct
-// users; the interpreter uses the error-returning variants instead.
-func (p *Pool) Run(body func(worker, n int)) {
-	err := p.RunErr(func(worker, n int) error {
-		body(worker, n)
-		return nil
-	})
-	if err != nil {
-		panic(err)
-	}
-}
-
 // Shutdown terminates the workers. It is idempotent and safe to call
-// at any time outside a Run: workers finish the current work item
+// at any time outside a RunErr: workers finish the current work item
 // (bounded because bodies honor abort/panic recovery) and exit.
 func (p *Pool) Shutdown() { p.stop.Store(true) }
 
@@ -292,61 +278,6 @@ func (p *Pool) parallelFor(ctx context.Context, lo, hi int, f func(i int) error)
 		}
 		return nil
 	})
-}
-
-// ParallelReduce folds f(i) for i in [lo, hi) with the associative
-// combiner, computing per-worker partials in the released workers and
-// combining them in the main thread after the stop barrier. A
-// panicking f re-panics in the caller as *PanicError.
-func (p *Pool) ParallelReduce(lo, hi int, identity float64,
-	f func(i int) float64, combine func(a, b float64) float64) float64 {
-	v, err := p.ParallelReduceErr(lo, hi, identity,
-		func(i int) (float64, error) { return f(i), nil }, combine)
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
-// ParallelReduceErr is ParallelReduce with an error-returning body and
-// early abort: after the first error the remaining iteration space is
-// skipped and the error is returned.
-func (p *Pool) ParallelReduceErr(lo, hi int, identity float64,
-	f func(i int) (float64, error), combine func(a, b float64) float64) (float64, error) {
-	if hi <= lo {
-		return identity, nil
-	}
-	n := hi - lo
-	partials := make([]float64, p.nWorkers)
-	err := p.RunErr(func(worker, workers int) error {
-		chunk := (n + workers - 1) / workers
-		start := lo + worker*chunk
-		end := start + chunk
-		if end > hi {
-			end = hi
-		}
-		acc := identity
-		for i := start; i < end; i++ {
-			if p.abort.Load() {
-				return nil
-			}
-			v, err := f(i)
-			if err != nil {
-				return err
-			}
-			acc = combine(acc, v)
-		}
-		partials[worker] = acc
-		return nil
-	})
-	if err != nil {
-		return identity, err
-	}
-	acc := identity
-	for _, v := range partials {
-		acc = combine(acc, v)
-	}
-	return acc, nil
 }
 
 // NaiveSpawn is the fork-join model the paper contrasts against:

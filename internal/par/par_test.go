@@ -1,11 +1,9 @@
 package par
 
 import (
-	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
 
 func TestParallelForCoversRange(t *testing.T) {
@@ -52,38 +50,6 @@ func TestPoolReuse(t *testing.T) {
 	}
 }
 
-func TestParallelReduce(t *testing.T) {
-	p := NewPool(4)
-	defer p.Shutdown()
-	sum := p.ParallelReduce(0, 1000, 0,
-		func(i int) float64 { return float64(i) },
-		func(a, b float64) float64 { return a + b })
-	if sum != 499500 {
-		t.Errorf("sum = %v, want 499500", sum)
-	}
-	mx := p.ParallelReduce(0, 257, -1e18,
-		func(i int) float64 { return float64((i * 7919) % 257) },
-		func(a, b float64) float64 {
-			if a > b {
-				return a
-			}
-			return b
-		})
-	if mx != 256 {
-		t.Errorf("max = %v, want 256", mx)
-	}
-}
-
-func TestReduceEmpty(t *testing.T) {
-	p := NewPool(2)
-	defer p.Shutdown()
-	got := p.ParallelReduce(3, 3, 42, func(i int) float64 { return 0 },
-		func(a, b float64) float64 { return a + b })
-	if got != 42 {
-		t.Errorf("empty reduce = %v, want identity", got)
-	}
-}
-
 func TestWorkersCount(t *testing.T) {
 	p := NewPool(6)
 	defer p.Shutdown()
@@ -111,31 +77,5 @@ func TestNaiveSpawnCoversRange(t *testing.T) {
 		if hits[i].Load() != 1 {
 			t.Fatalf("index %d executed %d times", i, hits[i].Load())
 		}
-	}
-}
-
-// Property: pool reduction equals sequential reduction for random
-// ranges and worker counts.
-func TestQuickReduceMatchesSequential(t *testing.T) {
-	p := NewPool(3)
-	defer p.Shutdown()
-	f := func(seed int64, nU uint16) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := int(nU % 500)
-		vals := make([]float64, n)
-		for i := range vals {
-			vals[i] = float64(r.Intn(100))
-		}
-		want := 0.0
-		for _, v := range vals {
-			want += v
-		}
-		got := p.ParallelReduce(0, n, 0,
-			func(i int) float64 { return vals[i] },
-			func(a, b float64) float64 { return a + b })
-		return got == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
 	}
 }

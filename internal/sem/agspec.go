@@ -135,7 +135,6 @@ func typesStr(ts []*types.Type) string {
 func env(t *attr.Tree) *Scope           { return t.Inh("env").(*Scope) }
 func typOf(t *attr.Tree) *types.Type    { return t.Syn("typ").(*types.Type) }
 func typsOf(t *attr.Tree) []*types.Type { return t.Syn("typs").([]*types.Type) }
-func errsOf(t *attr.Tree) errlist       { return t.Syn("errs").(errlist) }
 
 func resolveType(te ast.TypeExpr, at ast.Node) (*types.Type, errlist) {
 	ty, err := types.FromAST(te)
